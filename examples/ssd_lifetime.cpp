@@ -1,7 +1,7 @@
 // ssd_lifetime — replay a workload against the simulated SSD through the
-// NVMe-style queued host interface (host::SsdDevice) and watch the
-// drive's reliability state evolve under the daily maintenance loop
-// (refresh + Vpass Tuning); report host-observed latency percentiles
+// NVMe-style queued host interface (a one-drive host::ShardedDevice) and
+// watch the drive's reliability state evolve under the daily maintenance
+// loop (refresh + Vpass Tuning); report host-observed latency percentiles
 // from the completion stream, then compare endurance with and without
 // the mitigation.
 //
@@ -10,12 +10,14 @@
 //        days:     replay length (default 14)
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/endurance.h"
 #include "host/driver.h"
-#include "host/ssd_device.h"
+#include "host/sharded_device.h"
+#include "host/ssd_servicer.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
@@ -33,7 +35,10 @@ int main(int argc, char** argv) {
   config.ftl.blocks = 1024;
   config.ftl.pages_per_block = 256;
   config.vpass_tuning = true;
-  host::SsdDevice drive(config, params, /*seed=*/11, /*queue_count=*/4);
+  auto servicer = std::make_unique<host::SsdServicer>(config, params,
+                                                      /*seed=*/11);
+  const ssd::Ssd& ssd = servicer->ssd();
+  host::ShardedDevice drive(std::move(servicer), /*queue_count=*/4);
 
   std::printf("drive: %u blocks x %u pages, %llu logical pages, %u queues, "
               "workload %s\n",
@@ -63,29 +68,29 @@ int main(int argc, char** argv) {
     completions.clear();
     drive.drain(&completions);
     drive.end_of_day();
-    const auto& s = drive.ssd().ftl().stats();
+    const auto& s = ssd.ftl().stats();
     std::printf("%4d %12llu %12llu %10.3f %12.3e %10.2f%% %12.1f\n", day,
                 static_cast<unsigned long long>(s.host_reads),
                 static_cast<unsigned long long>(s.host_writes), s.waf(),
-                drive.ssd().max_worst_rber(),
-                drive.ssd().stats().mean_vpass_reduction_pct(),
+                ssd.max_worst_rber(),
+                ssd.stats().mean_vpass_reduction_pct(),
                 drive.stats().latency_quantile_s(host::CommandKind::kRead,
                                                  0.99) * 1e6);
   }
 
-  const auto& s = drive.ssd().ftl().stats();
+  const auto& s = ssd.ftl().stats();
   std::printf("\nFTL activity: %llu GC writes, %llu refresh writes, "
               "%llu refreshes, %llu trims, max P/E %u\n",
               static_cast<unsigned long long>(s.gc_writes),
               static_cast<unsigned long long>(s.refresh_writes),
               static_cast<unsigned long long>(s.refreshes),
               static_cast<unsigned long long>(s.host_trims),
-              drive.ssd().ftl().max_pe());
+              ssd.ftl().max_pe());
   std::printf("uncorrectable block-days: %llu, tuning fallbacks: %llu\n",
               static_cast<unsigned long long>(
-                  drive.ssd().stats().uncorrectable_page_events),
+                  ssd.stats().uncorrectable_page_events),
               static_cast<unsigned long long>(
-                  drive.ssd().stats().tuning_fallbacks));
+                  ssd.stats().tuning_fallbacks));
 
   // Host-observed service quality over the whole replay.
   const auto& q = drive.stats();
@@ -112,7 +117,7 @@ int main(int argc, char** argv) {
   const ecc::EccModel ecc{config.ecc};
   const core::EnduranceEvaluator evaluator(model, ecc);
   const auto pressure =
-      static_cast<double>(drive.ssd().max_reads_per_interval());
+      static_cast<double>(ssd.max_reads_per_interval());
   const double base = evaluator.endurance_pe(pressure, false);
   const double tuned = evaluator.endurance_pe(pressure, true);
   std::printf("\nendurance projection (hottest block absorbs %.0f reads per "

@@ -3,13 +3,14 @@
 // MEE, the remaining ECC margin, the step-search probes, and the chosen
 // pass-through voltage; then show the interval's peak RBER against the
 // unmitigated baseline, and finally replay the same pressure through the
-// queued host interface (host::SsdDevice) to see what the mechanism's
-// probe overhead does to host-observed read latency.
+// queued host interface (a one-drive host::ShardedDevice) to see what
+// the mechanism's probe overhead does to host-observed read latency.
 //
 // Usage: ./build/examples/vpass_explorer [pe_cycles] [reads_per_interval]
 //        defaults: 8000 P/E, 200000 reads
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "core/endurance.h"
@@ -17,7 +18,8 @@
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
 #include "host/driver.h"
-#include "host/ssd_device.h"
+#include "host/sharded_device.h"
+#include "host/ssd_servicer.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
@@ -90,7 +92,10 @@ int main(int argc, char** argv) {
     config.ftl.overprovision = 0.2;
     config.ftl.gc_free_target = 4;
     config.vpass_tuning = tuning;
-    host::SsdDevice drive(config, params, /*seed=*/3, /*queue_count=*/2);
+    auto servicer = std::make_unique<host::SsdServicer>(config, params,
+                                                        /*seed=*/3);
+    const ssd::Ssd& ssd = servicer->ssd();
+    host::ShardedDevice drive(std::move(servicer), /*queue_count=*/2);
     host::warm_fill(drive);
     auto profile = workload::profile_by_name("umass-web");
     profile.daily_page_ios = 30000;  // Scaled to the small drive.
@@ -116,7 +121,7 @@ int main(int argc, char** argv) {
                 q.latency_quantile_s(host::CommandKind::kRead, 0.50) * 1e6,
                 q.latency_quantile_s(host::CommandKind::kRead, 0.99) * 1e6,
                 q.latency_quantile_s(host::CommandKind::kRead, 0.999) * 1e6,
-                drive.ssd().stats().tuning_seconds_per_day());
+                ssd.stats().tuning_seconds_per_day());
   }
   return 0;
 }

@@ -28,10 +28,11 @@
 
 namespace rdsim::cfg {
 
-/// Which drive engine services the scenario's commands.
+/// Which drive engine services the scenario's commands: a fidelity and a
+/// shard count (host::make_device builds every one as a ShardedDevice).
 enum class Backend {
-  kAnalytic,          ///< Serial ssd::Ssd (FTL + closed-form RBER).
-  kMcChip,            ///< Serial per-cell Monte Carlo chip.
+  kAnalytic,          ///< One ssd::Ssd (FTL + closed-form RBER).
+  kMcChip,            ///< One per-cell Monte Carlo chip.
   kShardedMc,         ///< N Monte Carlo chips, RAID-0 striped.
   kShardedAnalytic,   ///< N analytic drives, RAID-0 striped.
 };
@@ -74,7 +75,7 @@ struct DriveSpec {
   std::uint32_t shards = 4;       ///< Sharded backends: stripe width.
   std::uint32_t queue_count = 4;  ///< NVMe-style submission queues.
 
-  /// Shared geometry: blocks per drive (serial) or per shard (sharded).
+  /// Shared geometry: blocks per drive or chip, i.e. per shard.
   std::uint32_t blocks = 2048;
 
   // Analytic backends: FTL shape and mitigation policy.

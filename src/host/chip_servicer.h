@@ -1,11 +1,10 @@
 // rdsim/host/chip_servicer.h
 //
 // ChipServicer: the Monte-Carlo implementation of the host::Servicer
-// shard slot — the data-movement engine behind one nand::Chip, shared by
-// the single-chip McChipDevice backend and by each shard of
-// ShardedDevice — so the physics a queued read or write performs (and
-// its cost accounting) exists exactly once, and a one-shard
-// ShardedDevice is the single-chip device by construction.
+// shard slot — the data-movement engine behind one nand::Chip, one per
+// shard of ShardedDevice (a single-chip drive is the one-shard case) —
+// so the physics a queued read or write performs, and its cost
+// accounting, exists exactly once.
 //
 // Logical layout: lpn -> (block = lpn / pages_per_block, then LSB/MSB
 // pages interleaved along the wordlines: page index 2*wl + kind). Every

@@ -39,7 +39,11 @@ std::uint64_t Device::submit(const Command& command) {
   sub.command.tenant = tenant;
   sub.id = next_id_++;
   sub.epoch = flush_epoch_;
-  max_submit_s_ = std::max(max_submit_s_, command.submit_time_s);
+  if (sub.command.submit_time_s < max_submit_s_) {
+    sub.command.submit_time_s = max_submit_s_;
+    ++clamped_submits_;
+  }
+  max_submit_s_ = sub.command.submit_time_s;
 
   if (command.kind == CommandKind::kFlush) {
     // A flush closes its epoch: it sorts after every co-epoch command
@@ -66,7 +70,7 @@ std::uint64_t Device::submit(const Command& command) {
         sub.key = virtual_finish_[tenant];
         break;
       case ArbitrationPolicy::kDeadline:
-        sub.key = command.submit_time_s + tenant_deadline_s(arb_, tenant);
+        sub.key = sub.command.submit_time_s + tenant_deadline_s(arb_, tenant);
         break;
     }
   }
@@ -103,7 +107,7 @@ bool Device::order_final(const Submitted& sub) const {
         bound = virtual_finish_[t] + 1.0 / tenant_weight(arb_, t);
         break;
       case ArbitrationPolicy::kDeadline:
-        // Submit stamps are non-decreasing (driver contract).
+        // Submit stamps are non-decreasing (submit() clamps them).
         bound = max_submit_s_ + tenant_deadline_s(arb_, t);
         break;
       case ArbitrationPolicy::kFifo:
@@ -147,8 +151,6 @@ double Device::min_pending_submit_s() const {
   return min_s;
 }
 
-void Device::release_ready(bool) {}
-
 std::size_t Device::poll(std::vector<Completion>* out,
                          std::size_t max_completions) {
   pump(/*force=*/false);
@@ -186,68 +188,6 @@ const CompletionStats& Device::stats() {
 void Device::reset_stats() {
   pump(/*force=*/true);
   stats_ = CompletionStats();
-}
-
-// --- SerialDevice ----------------------------------------------------------
-
-void SerialDevice::pump(bool force) {
-  for (const Submitted& sub : take_pending(force)) {
-    const Completion rec = service_one(sub);
-    record(rec);
-    batch_.push_back(rec);
-  }
-}
-
-void SerialDevice::release_ready(bool drain_all) {
-  if (batch_.empty()) return;
-  // Service order gives non-decreasing complete times (the timeline's
-  // free time advances to every slot's completion), so this sort only
-  // untangles same-instant ties whose ids a reordering policy inverted;
-  // under FIFO it is the identity.
-  std::sort(batch_.begin(), batch_.end(), completion_log_order);
-  std::size_t n = batch_.size();
-  if (!drain_all && has_pending()) {
-    // Any still-queued command completes at >= the flash free time, and
-    // it may carry a smaller id than a record already completed exactly
-    // there — withhold records at the free time until the queue empties
-    // (or a drain finalizes the order) so delivery stays a prefix of the
-    // deterministic log at every poll cadence.
-    while (n > 0 && batch_[n - 1].complete_time_s >= timeline_.free_s()) --n;
-  }
-  for (std::size_t i = 0; i < n; ++i) deliver(batch_[i]);
-  batch_.erase(batch_.begin(), batch_.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
-Completion SerialDevice::service_one(const Submitted& sub) {
-  const Command& cmd = sub.command;
-  ServiceCost cost;  // Flush is a pure barrier: zero cost, completes at
-                     // the flash free time once everything before it did.
-  if (cmd.kind != CommandKind::kFlush) cost = do_service(cmd);
-  const FlashTimeline::Slot slot =
-      timeline_.schedule(cmd.submit_time_s, cost);
-
-  Completion rec;
-  rec.id = sub.id;
-  rec.kind = cmd.kind;
-  rec.queue = cmd.queue;
-  rec.tenant = cmd.tenant;
-  rec.lpn = cmd.lpn;
-  rec.pages = cmd.pages;
-  rec.submit_time_s = cmd.submit_time_s;
-  rec.service_start_s = slot.start_s;
-  rec.complete_time_s = slot.complete_s;
-  // The part of this command's queue wait that overlapped a background
-  // reservation counts as stall, on top of any stall the backend charged
-  // to the command itself (e.g. inline GC on a write).
-  rec.stall_s = cost.stall_s + slot.bg_overlap_s;
-  rec.status = cost.status;
-  rec.error_pages = cost.error_pages;
-  return rec;
-}
-
-void SerialDevice::run_end_of_day() {
-  const double busy = do_end_of_day();
-  if (busy > 0.0) timeline_.reserve_next(busy);
 }
 
 }  // namespace rdsim::host

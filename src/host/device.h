@@ -41,12 +41,10 @@
 //
 // Class split:
 //   * Device        — the abstract facade: submission queues, completion
-//                     queue, arbitration keys, statistics, id assignment.
-//                     Knows nothing about time.
-//   * SerialDevice  — the single-timeline engine (one FlashTimeline):
-//                     backends implement do_service()/do_end_of_day().
-//                     SsdDevice and McChipDevice derive from this.
-//   * ShardedDevice — N chips, N timelines, deterministic merge
+//                     queue, arbitration keys, statistics, id assignment,
+//                     the monotone-stamp rule. Knows nothing about time.
+//   * ShardedDevice — the one engine: N servicers (N = 1 for a single
+//                     drive or chip), N timelines, deterministic merge
 //                     (sharded_device.h).
 #pragma once
 
@@ -57,7 +55,6 @@
 #include "host/arbitration.h"
 #include "host/command.h"
 #include "host/stats.h"
-#include "host/timeline.h"
 
 namespace rdsim::host {
 
@@ -93,7 +90,14 @@ class Device {
   /// Enqueues one command; returns its device-assigned sequence id.
   /// Servicing is lazy (poll/drain/stats/end_of_day trigger it), but the
   /// schedule a command receives does not depend on when that happens.
+  /// Submit stamps must not decrease: a stamp older than one already
+  /// submitted is clamped up to the newest (and counted, see
+  /// clamped_submits()), because poll finality and background-window
+  /// pruning both rely on it.
   std::uint64_t submit(const Command& command);
+
+  /// Commands whose submit stamp submit() had to clamp.
+  std::uint64_t clamped_submits() const { return clamped_submits_; }
 
   /// Moves up to `max_completions` completion records (oldest first) into
   /// `out` (appended); returns how many were delivered. A backend may
@@ -145,9 +149,9 @@ class Device {
   virtual void run_end_of_day() = 0;
 
   /// Backend hook: called after pump() by poll (drain_all = false) and
-  /// drain (drain_all = true), so backends that withhold completions can
-  /// release what is safe (everything, for a drain). Default: no-op.
-  virtual void release_ready(bool drain_all);
+  /// drain (drain_all = true) to deliver() every serviced record whose
+  /// log position is final (everything, for a drain).
+  virtual void release_ready(bool drain_all) = 0;
 
   /// Pops queued commands in arbitration order. With force, every
   /// pending command; without, only the prefix whose service order no
@@ -158,9 +162,9 @@ class Device {
   /// cadence-limited take_pending(false) may leave some behind).
   bool has_pending() const { return !pending_.empty(); }
 
-  /// Newest submit time seen across all submissions (non-decreasing by
-  /// the driver contract); backends use it to decide which completions'
-  /// log positions are final.
+  /// Newest submit time seen across all submissions (no later command is
+  /// stamped earlier, see submit()); backends use it to decide which
+  /// completions' log positions are final.
   double max_submit_seen_s() const { return max_submit_s_; }
 
   /// Earliest submit time among still-unserviced commands (meaningful
@@ -195,46 +199,10 @@ class Device {
   std::vector<double> virtual_finish_;      ///< Per-tenant WFQ clock.
   std::uint64_t flush_epoch_ = 0;
   double max_submit_s_ = 0.0;
+  std::uint64_t clamped_submits_ = 0;
   std::uint64_t next_id_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t delivered_ = 0;
-};
-
-/// The single-timeline engine: one flash unit services the arbitrated
-/// stream in order. Backends implement the per-command cost hook; the
-/// queue layer owns scheduling, stall attribution, and completion
-/// records.
-class SerialDevice : public Device {
- public:
-  explicit SerialDevice(std::uint32_t queue_count) : Device(queue_count) {}
-
-  double now_s() const override { return timeline_.free_s(); }
-
- protected:
-  /// Backend hook: perform the command's data movement and report its
-  /// cost. Flush never reaches this (the queue layer implements the
-  /// barrier; arbitration keeps a flush after its whole epoch, so it
-  /// completes at the flash free time, i.e. after everything submitted
-  /// before it).
-  virtual ServiceCost do_service(const Command& command) = 0;
-
-  /// Backend hook: nightly maintenance; returns flash busy seconds.
-  virtual double do_end_of_day() { return 0.0; }
-
-  void pump(bool force) override;
-  void run_end_of_day() override;
-  void release_ready(bool drain_all) override;
-
- private:
-  Completion service_one(const Submitted& sub);
-
-  FlashTimeline timeline_;
-  /// Serviced records not yet released to the completion queue: records
-  /// completing exactly at the flash free time are withheld while
-  /// commands are still queued, because a queued command a policy ordered
-  /// later could complete at the same instant with a smaller id. Under
-  /// FIFO nothing is ever queued after a pump, so this is pass-through.
-  std::vector<Completion> batch_;
 };
 
 }  // namespace rdsim::host

@@ -1,7 +1,7 @@
 // rdsim/host/driver.h
 //
-// Host-side driving patterns shared by the QoS experiments, the perf
-// harness, the examples, and the tests — so the subtle parts (slot
+// Host-side driving patterns shared by the QoS experiments, the
+// benchmark, the examples, and the tests — so the subtle parts (slot
 // accounting, submit-time re-stamping, warm-up hygiene) exist exactly
 // once.
 #pragma once
@@ -45,12 +45,12 @@ inline void warm_fill(Device& device) {
 ///
 /// In-flight accounting is driver-side, and slots are freed in
 /// completion-time order from a drained buffer: poll() may legitimately
-/// return nothing on a sharded device (records whose log position is not
-/// final yet are withheld), but drain() always delivers, sorted by
-/// (complete_time, submit order) — so the "next completion" that frees a
-/// slot is exactly the earliest one, on every backend. On a
-/// single-timeline device completions are already in that order, so the
-/// replay schedule (and fig_qos's golden) is unchanged by this buffering.
+/// return nothing (records whose log position is not final yet are
+/// withheld), but drain() always delivers, sorted by (complete_time,
+/// submit order) — so the "next completion" that frees a slot is exactly
+/// the earliest one, on every backend. On a one-shard device completions
+/// are already in that order, so the buffering never changes its replay
+/// schedule (or fig_qos's golden).
 class ClosedLoopDriver {
  public:
   ClosedLoopDriver(Device& device, int depth)
@@ -101,7 +101,7 @@ class ClosedLoopDriver {
   /// completions are drained and merged before taking the minimum —
   /// both the device's delivery and the buffer follow
   /// completion_log_order, so the buffer stays a sorted queue holding at
-  /// most ~depth unconsumed records. On a single-timeline device fresh
+  /// most ~depth unconsumed records. On a one-shard device fresh
   /// records always sort after the buffered tail, so the merge
   /// degenerates to an append.
   double next_completion_s() {

@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "flash/params.h"
-#include "host/mc_chip_device.h"
+#include "host/chip_servicer.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 
@@ -35,16 +34,8 @@ ssd::SsdConfig ssd_config_from_spec(const cfg::DriveSpec& spec) {
 
 namespace {
 
-flash::FlashModelParams flash_params(const cfg::DriveSpec& spec) {
-  return flash_params_from_spec(spec);
-}
-
-ssd::SsdConfig ssd_config(const cfg::DriveSpec& spec) {
-  return ssd_config_from_spec(spec);
-}
-
 /// The MC fault slice for one shard: latent pages everywhere, the die
-/// kill only on the targeted shard (a serial chip is shard 0).
+/// kill only on the targeted shard (a single chip is shard 0).
 ChipFaults chip_faults(const cfg::DriveSpec& spec, std::uint32_t shard) {
   ChipFaults faults;
   faults.latent_page_prob = spec.faults.latent_page_prob;
@@ -75,49 +66,34 @@ void pre_wear(nand::Chip& chip, std::uint64_t pe) {
 
 }  // namespace
 
-std::unique_ptr<Device> make_device(const cfg::DriveSpec& spec,
-                                    std::uint64_t seed, int workers) {
-  const flash::FlashModelParams params = flash_params(spec);
-  switch (spec.backend) {
-    case cfg::Backend::kAnalytic:
-      return std::make_unique<SsdDevice>(ssd_config(spec), params, seed,
-                                         spec.queue_count);
-    case cfg::Backend::kMcChip: {
-      auto device = std::make_unique<McChipDevice>(
-          chip_geometry(spec), params, seed, spec.queue_count,
-          LatencyParams{}, ChipErrorPath{}, chip_faults(spec, 0));
-      if (spec.pre_wear_pe > 0) pre_wear(device->chip(), spec.pre_wear_pe);
-      return device;
-    }
-    case cfg::Backend::kShardedMc: {
-      // Explicit per-shard construction (same seeds and arguments as the
-      // MC convenience ctor, so it stays bit-identical to it) to route
-      // each shard its own fault slice — the die kill targets one shard.
-      std::vector<std::unique_ptr<Servicer>> shards;
-      shards.reserve(spec.shards);
-      for (std::uint32_t s = 0; s < spec.shards; ++s)
-        shards.push_back(std::make_unique<ChipServicer>(
-            chip_geometry(spec), params, ShardedDevice::shard_seed(seed, s),
-            LatencyParams{}, ChipErrorPath{}, chip_faults(spec, s)));
-      auto device = std::make_unique<ShardedDevice>(std::move(shards),
-                                                    workers,
-                                                    spec.queue_count);
-      if (spec.pre_wear_pe > 0)
-        for (std::uint32_t s = 0; s < device->shard_count(); ++s)
-          pre_wear(device->shard_chip(s), spec.pre_wear_pe);
-      return device;
-    }
-    case cfg::Backend::kShardedAnalytic: {
-      std::vector<std::unique_ptr<Servicer>> shards;
-      shards.reserve(spec.shards);
-      for (std::uint32_t s = 0; s < spec.shards; ++s)
-        shards.push_back(std::make_unique<SsdServicer>(
-            ssd_config(spec), params, ShardedDevice::shard_seed(seed, s)));
-      return std::make_unique<ShardedDevice>(std::move(shards), workers,
-                                             spec.queue_count);
-    }
+std::unique_ptr<ShardedDevice> make_device(const cfg::DriveSpec& spec,
+                                           std::uint64_t seed, int workers) {
+  const flash::FlashModelParams params = flash_params_from_spec(spec);
+  const bool mc = !spec.is_analytic();
+  const bool sharded = spec.is_sharded();
+  const std::uint32_t shard_n = sharded ? spec.shards : 1;
+
+  // A single drive or chip takes the drive seed verbatim; shard s of a
+  // sharded backend derives its own, even when there is only one shard.
+  std::vector<std::unique_ptr<Servicer>> shards;
+  shards.reserve(shard_n);
+  for (std::uint32_t s = 0; s < shard_n; ++s) {
+    const std::uint64_t shard_seed =
+        sharded ? ShardedDevice::shard_seed(seed, s) : seed;
+    if (mc)
+      shards.push_back(std::make_unique<ChipServicer>(
+          chip_geometry(spec), params, shard_seed, LatencyParams{},
+          ChipErrorPath{}, chip_faults(spec, s)));
+    else
+      shards.push_back(std::make_unique<SsdServicer>(ssd_config_from_spec(spec),
+                                                     params, shard_seed));
   }
-  return nullptr;
+  auto device = std::make_unique<ShardedDevice>(std::move(shards), workers,
+                                                spec.queue_count);
+  if (mc && spec.pre_wear_pe > 0)
+    for (std::uint32_t s = 0; s < device->shard_count(); ++s)
+      pre_wear(device->shard_chip(s), spec.pre_wear_pe);
+  return device;
 }
 
 }  // namespace rdsim::host

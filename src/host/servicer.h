@@ -1,23 +1,22 @@
 // rdsim/host/servicer.h
 //
-// Servicer: the backend slot of host::ShardedDevice. One Servicer is one
-// shard's drive engine — it performs the data movement of commands whose
-// lpn ranges are local to the shard and reports each command's
-// ServiceCost; the device owns scheduling (one FlashTimeline per shard),
-// stall attribution, and the deterministic merge of the per-shard
-// completion records.
+// Servicer: the backend slot of host::ShardedDevice, rdsim's one device
+// engine. One Servicer is one shard's drive engine — it performs the
+// data movement of commands whose lpn ranges are local to the shard and
+// reports each command's ServiceCost; the device owns scheduling (one
+// FlashTimeline per shard), stall attribution, and the deterministic
+// merge of the per-shard completion records.
 //
 // Two implementations exist: ChipServicer (chip_servicer.h), the
 // Monte-Carlo per-cell engine over one nand::Chip, and SsdServicer
 // (ssd_servicer.h), the analytic whole-drive engine over one ssd::Ssd —
-// so the same RAID-0 N-way scaling serves both fidelities. The contract
-// either must honor:
+// so the same RAID-0 N-way scaling serves both fidelities, and a single
+// drive or chip is the one-shard case. The contract either must honor:
 //
 //   * service() iterates the command's pages in ascending range order,
 //     wrapping each page modulo logical_pages() (the caller de-stripes a
 //     global command into one contiguous local range per shard, so a
-//     one-shard device receives the global command verbatim and is the
-//     serial single-backend device by construction).
+//     one-shard device hands its servicer the global command verbatim).
 //   * service() is deterministic: simulated clocks and seeded RNG only,
 //     so the merged completion log stays a pure function of the
 //     submission stream for any worker count.

@@ -8,8 +8,8 @@
 // turnover) reserves windows whose overlap with a later command's queue
 // wait is attributed as that command's stall.
 //
-// The serial Device engine owns exactly one FlashTimeline; ShardedDevice
-// owns one per shard so N chips schedule independently. Everything here
+// ShardedDevice owns one FlashTimeline per shard (exactly one for a
+// single drive or chip), so N chips schedule independently. Everything here
 // is simulated-clock arithmetic — no wall clock, no RNG — which is what
 // makes a completion schedule a pure function of the submission stream
 // (the determinism contract in docs/ARCHITECTURE.md).
@@ -40,10 +40,8 @@ class FlashTimeline {
   /// free_s()), occupies busy + stall seconds, and books the stall
   /// portion as a background reservation (it sits after the command's
   /// own data movement, where followers wait on it). Windows wholly
-  /// before `submit_s` are pruned — submit stamps are non-decreasing in
-  /// every rdsim driver, so no later command can still overlap them (for
-  /// a non-monotone hand-built stream the pruning under-attributes,
-  /// never over-attributes).
+  /// before `submit_s` are pruned — Device::submit keeps submit stamps
+  /// non-decreasing, so no later command can still overlap them.
   Slot schedule(double submit_s, const ServiceCost& cost) {
     Slot slot;
     slot.start_s = std::max(submit_s, free_s_);

@@ -63,18 +63,14 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
   std::uint64_t seq = 0;
 
   if (options.mode == ReplayMode::kOpen) {
-    // Arrival-faithful: trace time (compressed by speedup) offset to the
-    // device clock at replay start, clamped monotone — the sharded poll
-    // watermark assumes non-decreasing submit stamps, and a trace with
-    // out-of-order or duplicate timestamps must not violate that.
-    double prev_submit_s = origin_s;
+    // Arrival-faithful: trace time (compressed by speedup, a negative time
+    // counting as 0) offset to the device clock at replay start. A trace
+    // with out-of-order timestamps is clamped monotone by Device::submit.
     while (reader.read_chunk(window, &chunk) > 0) {
       for (workload::IoRequest& r : chunk) {
         remapper.apply(&r);
         host::Command c = to_command(r, seq++, queues);
-        c.submit_time_s =
-            std::max(prev_submit_s, origin_s + r.time_s / speedup);
-        prev_submit_s = c.submit_time_s;
+        c.submit_time_s = origin_s + std::max(0.0, r.time_s) / speedup;
         device.submit(c);
       }
       // Drain once per window: the backend pump sees a full lookahead

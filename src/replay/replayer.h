@@ -9,8 +9,8 @@
 //     clock at replay start so arrivals never land inside warm-up work.
 //     Whole windows are submitted before draining, lending the sharded
 //     backend's pump full lookahead segments (its merge needs to see the
-//     frontier of every queue). Submit stamps are clamped monotone — the
-//     sharded poll watermark assumes non-decreasing submission times.
+//     frontier of every queue). Out-of-order trace times are clamped
+//     monotone by host::Device::submit.
 //   * closed-loop — QD-bounded via ClosedLoopDriver: trace timestamps
 //     are ordering only; a slot frees when the earliest in-flight
 //     completion lands.

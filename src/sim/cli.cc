@@ -56,7 +56,7 @@ bool parse_double(const std::string& s, double* out) {
 
 }  // namespace
 
-CliOptions parse_cli(int argc, char** argv, bool allow_experiment) {
+CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc && options.error.empty(); ++i) {
     const std::string_view arg = argv[i];
@@ -127,10 +127,9 @@ CliOptions parse_cli(int argc, char** argv, bool allow_experiment) {
       options.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       options.help = true;
-    } else if (allow_experiment &&
-               take_value(argc, argv, i, "--experiment", value, options)) {
+    } else if (take_value(argc, argv, i, "--experiment", value, options)) {
       if (options.error.empty()) options.experiment = value;
-    } else if (allow_experiment && arg == "--list") {
+    } else if (arg == "--list") {
       options.list = true;
     } else {
       options.error = "unknown flag: " + std::string(arg);

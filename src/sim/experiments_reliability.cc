@@ -18,7 +18,7 @@
 #include "host/driver.h"
 #include "host/factory.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
+#include "host/ssd_servicer.h"
 #include "sim/experiments.h"
 #include "ssd/ssd.h"
 #include "workload/generator.h"
@@ -89,9 +89,8 @@ Table run_fig_reliability(ExperimentContext& ctx) {
         drive.faults.die_kill_shard = 1;
         drive.faults.die_kill_day = fc.die_kill_day;
       }
-      const std::unique_ptr<host::Device> device_ptr =
-          host::make_device(drive, drive_seed, workers);
-      auto& device = static_cast<host::ShardedDevice&>(*device_ptr);
+      const auto device_ptr = host::make_device(drive, drive_seed, workers);
+      host::ShardedDevice& device = *device_ptr;
 
       workload::TraceGenerator gen(profile, device.logical_pages(),
                                    trace_seed, device.queue_count());
@@ -187,9 +186,10 @@ Table run_fig_reliability(ExperimentContext& ctx) {
       drive.queue_count = 4;
       drive.faults.program_fail_prob = p;
       drive.faults.erase_fail_prob = p;
-      const std::unique_ptr<host::Device> device_ptr =
-          host::make_device(drive, drive_seed, workers);
-      auto& device = static_cast<host::SsdDevice&>(*device_ptr);
+      const auto device_ptr = host::make_device(drive, drive_seed, workers);
+      host::ShardedDevice& device = *device_ptr;
+      const ssd::Ssd& ssd =
+          static_cast<host::SsdServicer&>(device.shard_servicer(0)).ssd();
 
       workload::TraceGenerator gen(profile, device.logical_pages(),
                                    trace_seed, device.queue_count());
@@ -198,13 +198,13 @@ Table run_fig_reliability(ExperimentContext& ctx) {
       for (int day = 0; day < max_days; ++day) {
         driver.run(gen.day_commands());
         device.end_of_day();
-        if (device.ssd().ftl().read_only()) {
+        if (ssd.ftl().read_only()) {
           read_only_day = day + 1;
           break;  // Permanent freeze: further days only reject writes.
         }
       }
 
-      const ftl::FtlStats& fs = device.ssd().ftl().stats();
+      const ftl::FtlStats& fs = ssd.ftl().stats();
       const host::CompletionStats& stats = device.stats();
       using host::Status;
       rows.push_back(strf(
@@ -212,7 +212,7 @@ Table run_fig_reliability(ExperimentContext& ctx) {
           static_cast<unsigned long long>(fs.host_writes),
           static_cast<unsigned long long>(fs.program_failures),
           static_cast<unsigned long long>(fs.erase_failures),
-          device.ssd().ftl().retired_blocks(),
+          ssd.ftl().retired_blocks(),
           static_cast<unsigned long long>(fs.defect_writes),
           static_cast<unsigned long long>(
               stats.commands(Status::kFailedWrite)),

@@ -6,6 +6,7 @@
 // milliseconds. Drives are driven exclusively through the host::Device
 // queued interface.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@
 #include "host/driver.h"
 #include "host/factory.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
+#include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "sim/experiments.h"
 #include "ssd/ssd.h"
@@ -56,7 +57,10 @@ Table run_fig08(ExperimentContext& ctx) {
         config.ftl.blocks = full_scale ? 1024 : 128;
         config.ftl.pages_per_block = full_scale ? 256 : 32;
         config.vpass_tuning = false;  // Pressure measurement only.
-        host::SsdDevice drive(config, params, drive_seed);
+        auto servicer =
+            std::make_unique<host::SsdServicer>(config, params, drive_seed);
+        const ssd::Ssd& ssd = servicer->ssd();
+        host::ShardedDevice drive(std::move(servicer));
 
         workload::TraceGenerator gen(profile, drive.logical_pages(),
                                      trace_seed);
@@ -73,7 +77,7 @@ Table run_fig08(ExperimentContext& ctx) {
         }
 
         const double reads_per_interval =
-            static_cast<double>(drive.ssd().max_reads_per_interval());
+            static_cast<double>(ssd.max_reads_per_interval());
         const double base = evaluator.endurance_pe(reads_per_interval, false);
         const double tuned = evaluator.endurance_pe(reads_per_interval, true);
         const double gain = (tuned / base - 1.0) * 100.0;
@@ -265,9 +269,8 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
     // (O(bookkeeping) under lazy materialization).
     drive.pre_wear_pe = kPreWearPe;
     drive.queue_count = 4;
-    const std::unique_ptr<host::Device> device_ptr =
-        host::make_device(drive, drive_seed, workers);
-    auto& device = static_cast<host::ShardedDevice&>(*device_ptr);
+    const auto device_ptr = host::make_device(drive, drive_seed, workers);
+    host::ShardedDevice& device = *device_ptr;
 
     workload::TraceGenerator gen(profile, device.logical_pages(),
                                  trace_seed, device.queue_count());

@@ -9,12 +9,12 @@
 // The Ssd consumes host::Commands (read / write / trim; flush is a pure
 // queue barrier handled by the host::Device facade) and reports the cost
 // of each: flash busy seconds plus any inline-GC stall a write absorbed.
-// It is driven through host::SsdDevice, which adds the NVMe-style
-// submission/completion queue model on top.
+// It is driven as a host::SsdServicer shard of host::ShardedDevice,
+// which adds the NVMe-style submission/completion queue model on top.
 //
 // Error rates come from the analytic flash::RberModel; a per-cell Monte
 // Carlo model would not scale to a drive. The same controller logic is
-// exercised against the Monte Carlo chip via host::McChipDevice.
+// exercised against the Monte Carlo chip via host::ChipServicer.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Tests for the pluggable per-tenant arbitration layer (PR 10):
 //   1. conservation — the per-tenant CompletionStats slices sum back to
 //      the global log, per kind, per status, per page, and for stall
-//      attribution, on both the serial and the sharded backend;
+//      attribution, on one-shard and four-shard drives;
 //   2. weighted fairness — under saturation, completed commands track
 //      the configured weights (start-time fair queueing on pages);
 //   3. deadline ordering — within one co-pending epoch the service order
@@ -9,8 +9,8 @@
 //   4. round-robin starvation-freedom — a victim's k-th command is never
 //      serviced behind more than k commands of a hammering tenant;
 //   5. determinism — per policy, the completion log is byte-identical
-//      across poll cadences (both backends) and across worker counts
-//      (sharded), and a single-tenant arbitration config reproduces the
+//      across poll cadences (both drive widths) and across worker counts
+//      (four shards), and a single-tenant arbitration config reproduces the
 //      untagged FIFO log byte-for-byte;
 //   6. fig_qos_tenants is byte-identical at --threads 1 and 8;
 //   7. CompletionStats quantile edge cases: empty and single-sample
@@ -25,11 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "analytic_drive.h"
 #include "cfg/spec.h"
 #include "host/driver.h"
 #include "host/factory.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
 #include "host/stats.h"
 #include "sim/experiment.h"
 #include "workload/generator.h"
@@ -49,9 +49,9 @@ ssd::SsdConfig small_config() {
   return cfg;
 }
 
-std::unique_ptr<SsdDevice> small_ssd_device(std::uint64_t seed,
-                                            std::uint32_t queues = 4) {
-  return std::make_unique<SsdDevice>(
+std::unique_ptr<test::AnalyticDrive> small_ssd_device(
+    std::uint64_t seed, std::uint32_t queues = 4) {
+  return std::make_unique<test::AnalyticDrive>(
       small_config(), flash::FlashModelParams::default_2ynm(), seed, queues);
 }
 
@@ -199,7 +199,7 @@ void check_conservation(Device& device) {
   EXPECT_EQ(status_total, stats.commands());
 }
 
-TEST(Arbitration, ConservationOnSerialDevice) {
+TEST(Arbitration, ConservationOnOneShardDevice) {
   auto device = small_ssd_device(/*seed=*/11);
   check_conservation(*device);
 }
@@ -319,7 +319,7 @@ ArbitrationConfig two_tenant_arb(ArbitrationPolicy policy) {
   return make_arb(policy, {{8.0, 500.0}, {1.0, 10000.0}});
 }
 
-TEST(Arbitration, SerialLogIdenticalAtAnyPollCadence) {
+TEST(Arbitration, OneShardLogIdenticalAtAnyPollCadence) {
   // The FIFO version of this contract lives in test_host.cc; the
   // reordering policies add the interesting part — poll() may only
   // deliver completions whose position no future submission can change.
@@ -351,7 +351,7 @@ TEST(Arbitration, SerialLogIdenticalAtAnyPollCadence) {
 }
 
 TEST(Arbitration, ShardedLogIdenticalAtAnyPollCadenceAndWorkerCount) {
-  // The sharded backend adds N independent shard timelines on top of the
+  // Four shards add independent shard timelines on top of the
   // arbitration reorder: the merged log must still be one deterministic
   // byte stream at any poll cadence and any worker count.
   std::vector<Command> stream;

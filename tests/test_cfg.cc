@@ -5,8 +5,9 @@
 //      value, out of range, unknown enum, missing required, unknown key,
 //      duplicate key, infeasible FTL, unreadable file);
 //   3. a valid config maps onto the typed specs field-for-field;
-//   4. host::make_device(spec) is bit-identical to the historical
-//      hand-built bring-up for every backend (same stream, same seed =>
+//   4. host::make_device(spec) is bit-identical to a hand-built
+//      ShardedDevice for every backend — the one-shard backends hand the
+//      drive seed to their servicer verbatim (same stream, same seed =>
 //      byte-identical completion logs);
 //   5. every built-in profile produces a constructible device.
 #include "cfg/config.h"
@@ -19,10 +20,9 @@
 
 #include "cfg/profiles.h"
 #include "cfg/spec.h"
+#include "host/chip_servicer.h"
 #include "host/factory.h"
-#include "host/mc_chip_device.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
@@ -410,7 +410,7 @@ std::string replay_log(host::Device& device,
   return log;
 }
 
-TEST(Factory, AnalyticSpecMatchesHandBuiltSsdDevice) {
+TEST(Factory, AnalyticSpecIsAOneShardDriveWithTheDriveSeed) {
   DriveSpec spec;
   spec.backend = Backend::kAnalytic;
   spec.blocks = 64;
@@ -426,8 +426,10 @@ TEST(Factory, AnalyticSpecMatchesHandBuiltSsdDevice) {
   config.ftl.overprovision = 0.2;
   config.ftl.gc_free_target = 4;
   config.ftl.read_reclaim_threshold = 120;
-  host::SsdDevice hand(config, flash::FlashModelParams::default_2ynm(),
-                       /*seed=*/23, /*queue_count=*/4);
+  host::ShardedDevice hand(
+      std::make_unique<host::SsdServicer>(
+          config, flash::FlashModelParams::default_2ynm(), /*seed=*/23),
+      /*queue_count=*/4);
 
   const auto made = host::make_device(spec, /*seed=*/23);
   const auto stream = mixed_stream(hand.logical_pages(), 4, 31);
@@ -435,7 +437,7 @@ TEST(Factory, AnalyticSpecMatchesHandBuiltSsdDevice) {
   EXPECT_EQ(replay_log(*made, stream), replay_log(hand, stream));
 }
 
-TEST(Factory, McChipSpecMatchesHandBuiltMcChipDevice) {
+TEST(Factory, McChipSpecIsAOneShardDriveWithTheDriveSeed) {
   const nand::Geometry geometry = nand::Geometry::tiny();
   DriveSpec spec;
   spec.backend = Backend::kMcChip;
@@ -444,8 +446,11 @@ TEST(Factory, McChipSpecMatchesHandBuiltMcChipDevice) {
   spec.blocks = geometry.blocks;
   spec.queue_count = 2;
 
-  host::McChipDevice hand(geometry, flash::FlashModelParams::default_2ynm(),
-                          /*seed=*/5, /*queue_count=*/2);
+  host::ShardedDevice hand(
+      std::make_unique<host::ChipServicer>(
+          geometry, flash::FlashModelParams::default_2ynm(), /*seed=*/5,
+          host::LatencyParams{}),
+      /*queue_count=*/2);
   const auto made = host::make_device(spec, /*seed=*/5);
   const auto stream = mixed_stream(hand.logical_pages(), 2, 13);
   EXPECT_EQ(replay_log(*made, stream), replay_log(hand, stream));

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "analytic_drive.h"
 #include "cfg/spec.h"
 #include "common/csv.h"
 #include "common/histogram.h"
@@ -14,7 +15,6 @@
 #include "flash/rber_model.h"
 #include "flash/vth_model.h"
 #include "host/factory.h"
-#include "host/ssd_device.h"
 #include "nand/randomizer.h"
 #include "ssd/ssd.h"
 #include "workload/zipf.h"
@@ -164,7 +164,7 @@ TEST(EdgeSsd, EmptyDayStillDoesMaintenance) {
   cfg.ftl.pages_per_block = 16;
   cfg.ftl.overprovision = 0.25;
   cfg.ftl.gc_free_target = 2;
-  host::SsdDevice drive(cfg, params, 1);
+  test::AnalyticDrive drive(cfg, params, 1);
   host::Command write;
   write.kind = host::CommandKind::kWrite;
   for (std::uint64_t lpn = 0; lpn < 64; ++lpn) {
@@ -185,7 +185,7 @@ TEST(EdgeSsd, MultiPageCommandWrapsLogicalSpace) {
   cfg.ftl.pages_per_block = 16;
   cfg.ftl.overprovision = 0.25;
   cfg.ftl.gc_free_target = 2;
-  host::SsdDevice drive(cfg, params, 2);
+  test::AnalyticDrive drive(cfg, params, 2);
   const auto logical = drive.logical_pages();
   host::Command c;
   c.kind = host::CommandKind::kWrite;

@@ -12,10 +12,10 @@
 #include "cfg/spec.h"
 #include "flash/params.h"
 #include "ftl/ftl.h"
+#include "host/chip_servicer.h"
 #include "host/factory.h"
-#include "host/mc_chip_device.h"
 #include "host/sharded_device.h"
-#include "host/ssd_device.h"
+#include "host/ssd_servicer.h"
 #include "ssd/ssd.h"
 
 namespace rdsim {
@@ -132,14 +132,15 @@ TEST(DeviceFaults, ReadOnlyDriveCompletesWritesWithReadOnlyStatus) {
   drive.spare_blocks = 1;
   drive.faults.program_fail_prob = 1.0;
   const auto device = host::make_device(drive, 5, 1);
-  auto& ssd_device = static_cast<host::SsdDevice&>(*device);
+  const ssd::Ssd& ssd =
+      static_cast<host::SsdServicer&>(device->shard_servicer(0)).ssd();
 
   // Two failing writes retire two blocks > spare_blocks = 1: frozen.
   EXPECT_EQ(roundtrip(*device, host::CommandKind::kWrite, 0).status,
             host::Status::kOk);
   EXPECT_EQ(roundtrip(*device, host::CommandKind::kWrite, 1).status,
             host::Status::kOk);
-  ASSERT_TRUE(ssd_device.ssd().ftl().read_only());
+  ASSERT_TRUE(ssd.ftl().read_only());
   for (std::uint64_t lpn = 2; lpn < 10; ++lpn) {
     const host::Completion c =
         roundtrip(*device, host::CommandKind::kWrite, lpn);
@@ -152,7 +153,7 @@ TEST(DeviceFaults, ReadOnlyDriveCompletesWritesWithReadOnlyStatus) {
   EXPECT_EQ(roundtrip(*device, host::CommandKind::kTrim, 5).status,
             host::Status::kOk);
   EXPECT_EQ(device->stats().commands(host::Status::kReadOnly), 8u);
-  EXPECT_EQ(ssd_device.ssd().stats().host_readonly_writes, 8u);
+  EXPECT_EQ(ssd.stats().host_readonly_writes, 8u);
 }
 
 TEST(DeviceFaults, LatentPageFailsWholeLadderWithRecoveryLatency) {
@@ -163,8 +164,9 @@ TEST(DeviceFaults, LatentPageFailsWholeLadderWithRecoveryLatency) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.latent_page_prob = 1.0;
-  host::McChipDevice device(geometry, params, 3, 1, host::LatencyParams{},
-                            host::ChipErrorPath{}, faults);
+  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+      geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
+      faults));
 
   const host::Completion ok_free = roundtrip(
       device, host::CommandKind::kTrim, 0);  // Metadata-only: no ladder.
@@ -191,8 +193,9 @@ TEST(DeviceFaults, DieKillFlipsChipAtItsDay) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.die_kill_day = 1.0;
-  host::McChipDevice device(geometry, params, 3, 1, host::LatencyParams{},
-                            host::ChipErrorPath{}, faults);
+  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+      geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
+      faults));
 
   EXPECT_EQ(roundtrip(device, host::CommandKind::kRead, 0).status,
             host::Status::kOk);
@@ -226,7 +229,7 @@ TEST(DeviceFaults, DieKillTargetsOnlyTheConfiguredShard) {
   drive.faults.die_kill_shard = 1;
   drive.faults.die_kill_day = 1.0;
   const auto device_ptr = host::make_device(drive, 9, 2);
-  auto& device = static_cast<host::ShardedDevice&>(*device_ptr);
+  host::ShardedDevice& device = *device_ptr;
   device.end_of_day();
 
   // Even lpns live on shard 0 (alive), odd on shard 1 (dead).

@@ -1,21 +1,34 @@
 // Tests for the NVMe-style queued host interface: command lifecycle,
 // flush barriers, completion determinism across poll cadences, stall
-// attribution, CompletionStats percentiles, and the Monte Carlo backend.
+// attribution, the monotone submit-stamp rule, CompletionStats
+// percentiles, and the Monte Carlo backend.
 #include "host/device.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "host/mc_chip_device.h"
-#include "host/ssd_device.h"
+#include "analytic_drive.h"
+#include "host/chip_servicer.h"
+#include "host/sharded_device.h"
+#include "nand/chip.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
 namespace rdsim::host {
 namespace {
+
+using test::AnalyticDrive;
+
+/// A single Monte Carlo chip behind the queued interface.
+ShardedDevice chip_drive(const nand::Geometry& geometry, std::uint64_t seed) {
+  return ShardedDevice(std::make_unique<ChipServicer>(
+      geometry, flash::FlashModelParams::default_2ynm(), seed,
+      LatencyParams{}));
+}
 
 ssd::SsdConfig small_config() {
   ssd::SsdConfig cfg;
@@ -53,7 +66,7 @@ TEST(HostDevice, CompletionLogIdenticalAtAnyPollCadence) {
   // with a day boundary in the middle.
   std::vector<std::string> logs;
   for (const int cadence : {0, 1, 7}) {
-    SsdDevice device(small_config(), params, /*seed=*/5, kQueues);
+    AnalyticDrive device(small_config(), params, /*seed=*/5, kQueues);
     std::vector<Completion> got;
     std::string log;
     std::size_t i = 0;
@@ -83,7 +96,7 @@ TEST(HostDevice, CompletionLogIdenticalAtAnyPollCadence) {
 
 TEST(HostDevice, FlushIsABarrier) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  SsdDevice device(small_config(), params, 1, /*queue_count=*/2);
+  AnalyticDrive device(small_config(), params, 1, /*queue_count=*/2);
   Command write;
   write.kind = CommandKind::kWrite;
   write.pages = 4;
@@ -108,7 +121,7 @@ TEST(HostDevice, FlushIsABarrier) {
 
 TEST(HostDevice, QueueIdsAreTakenModuloQueueCount) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  SsdDevice device(small_config(), params, 1, /*queue_count=*/2);
+  AnalyticDrive device(small_config(), params, 1, /*queue_count=*/2);
   Command c;
   c.kind = CommandKind::kRead;
   c.queue = 7;  // Routed to 7 % 2 == 1.
@@ -119,17 +132,48 @@ TEST(HostDevice, QueueIdsAreTakenModuloQueueCount) {
 }
 
 TEST(HostDevice, OutstandingTracksSubmitMinusDelivered) {
+  // Five reads a second apart: each completes long before the next
+  // submission, except the last, which completes after the newest submit
+  // stamp — poll() withholds it, since a later submission could still
+  // complete first.
   const auto params = flash::FlashModelParams::default_2ynm();
-  SsdDevice device(small_config(), params, 1);
+  AnalyticDrive device(small_config(), params, 1);
   Command c;
   c.kind = CommandKind::kRead;
-  for (int i = 0; i < 5; ++i) device.submit(c);
+  for (int i = 0; i < 5; ++i) {
+    c.submit_time_s = i;
+    device.submit(c);
+  }
   EXPECT_EQ(device.outstanding(), 5u);
   std::vector<Completion> got;
-  device.poll(&got, 2);
+  EXPECT_EQ(device.poll(&got, 2), 2u);
   EXPECT_EQ(device.outstanding(), 3u);
-  device.drain(&got);
+  EXPECT_EQ(device.poll(&got, 10), 2u);
+  EXPECT_EQ(device.outstanding(), 1u);
+  EXPECT_EQ(device.drain(&got), 1u);
   EXPECT_EQ(device.outstanding(), 0u);
+}
+
+TEST(HostDevice, OlderSubmitStampIsClampedAndCounted) {
+  // Poll finality and background-window pruning both assume submit
+  // stamps never decrease, so submit() clamps an older stamp up to the
+  // newest one seen and counts it.
+  const auto params = flash::FlashModelParams::default_2ynm();
+  AnalyticDrive device(small_config(), params, 1);
+  Command c;
+  c.kind = CommandKind::kRead;
+  for (const double t : {1.0, 0.5, 1.0, 2.0}) {
+    c.submit_time_s = t;
+    device.submit(c);
+  }
+  EXPECT_EQ(device.clamped_submits(), 1u);  // Only 0.5; ties are fine.
+  std::vector<Completion> got;
+  ASSERT_EQ(device.drain(&got), 4u);
+  EXPECT_EQ(got[1].id, 1u);
+  EXPECT_EQ(got[1].submit_time_s, 1.0);
+  EXPECT_GE(got[1].service_start_s, got[0].complete_time_s);
+  EXPECT_EQ(got[3].submit_time_s, 2.0);
+  for (const auto& rec : got) EXPECT_GE(rec.latency_s(), 0.0);
 }
 
 TEST(HostDevice, BackgroundStallIsAttributed) {
@@ -137,7 +181,7 @@ TEST(HostDevice, BackgroundStallIsAttributed) {
   // must carry the stall, and followers waiting on the reservation are
   // attributed too.
   const auto params = flash::FlashModelParams::default_2ynm();
-  SsdDevice device(small_config(), params, 3);
+  AnalyticDrive device(small_config(), params, 3);
   Command write;
   write.kind = CommandKind::kWrite;
   Rng rng(17);
@@ -188,15 +232,15 @@ TEST(CompletionStats, LatencyBeyondHistogramClampsToCeiling) {
   EXPECT_DOUBLE_EQ(stats.max_latency_s(CommandKind::kWrite), 5.0);
 }
 
-TEST(McChipDevice, QueuedReadsObserveDisturbErrors) {
+TEST(ChipDrive, QueuedReadsObserveDisturbErrors) {
   // Reads through the queued interface sense real cells: on a worn chip,
   // hammering pages raises the observed raw bit error count.
-  const auto params = flash::FlashModelParams::default_2ynm();
-  McChipDevice device(nand::Geometry::tiny(), params, 3);
-  for (std::size_t b = 0; b < device.chip().block_count(); ++b) {
-    device.chip().block(b).erase();
-    device.chip().block(b).add_wear(8000);
-    device.chip().block(b).program_random();
+  ShardedDevice device = chip_drive(nand::Geometry::tiny(), 3);
+  nand::Chip& chip = device.shard_chip(0);
+  for (std::size_t b = 0; b < chip.block_count(); ++b) {
+    chip.block(b).erase();
+    chip.block(b).add_wear(8000);
+    chip.block(b).program_random();
   }
   Command read;
   read.kind = CommandKind::kRead;
@@ -207,19 +251,19 @@ TEST(McChipDevice, QueuedReadsObserveDisturbErrors) {
   const std::uint64_t errors_fresh = device.read_bit_errors();
 
   // A million disturbs later the same page reads back much dirtier.
-  device.chip().block(0).apply_reads(1, 1e6);
+  chip.block(0).apply_reads(1, 1e6);
   device.submit(read);
   device.drain(&done);
   EXPECT_GT(device.read_bit_errors(), errors_fresh + 10);
   EXPECT_EQ(device.pages_read(), 2u);
 }
 
-TEST(McChipDevice, WritesTurnOverBlocksAndClearDisturb) {
-  const auto params = flash::FlashModelParams::default_2ynm();
+TEST(ChipDrive, WritesTurnOverBlocksAndClearDisturb) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  McChipDevice device(geometry, params, 4);
-  device.chip().block(0).apply_reads(1, 5e5);
-  const double dose_before = device.chip().block(0).dose();
+  ShardedDevice device = chip_drive(geometry, 4);
+  nand::Chip& chip = device.shard_chip(0);
+  chip.block(0).apply_reads(1, 5e5);
+  const double dose_before = chip.block(0).dose();
   EXPECT_GT(dose_before, 0.0);
   // A block's worth of writes to block 0 forces its erase + reprogram.
   Command write;
@@ -230,14 +274,13 @@ TEST(McChipDevice, WritesTurnOverBlocksAndClearDisturb) {
   std::vector<Completion> done;
   device.drain(&done);
   EXPECT_EQ(device.block_rewrites(), 1u);
-  EXPECT_EQ(device.chip().block(0).dose(), 0.0);
+  EXPECT_EQ(chip.block(0).dose(), 0.0);
   EXPECT_GT(done[0].stall_s, 0.0);  // The erase is charged as a stall.
 }
 
-TEST(McChipDevice, LogicalSpaceCoversWholeChip) {
-  const auto params = flash::FlashModelParams::default_2ynm();
+TEST(ChipDrive, LogicalSpaceCoversWholeChip) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  McChipDevice device(geometry, params, 5);
+  ShardedDevice device = chip_drive(geometry, 5);
   EXPECT_EQ(device.logical_pages(),
             static_cast<std::uint64_t>(geometry.blocks) *
                 geometry.pages_per_block());

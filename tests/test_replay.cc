@@ -296,8 +296,8 @@ TEST(Replayer, OpenAndClosedDifferButRepeatExactly) {
 }
 
 TEST(Replayer, OpenLoopSubmitStampsAreMonotone) {
-  // The sharded poll watermark assumes non-decreasing submit times; the
-  // replayer must clamp even if the trace has timestamp jitter.
+  // The poll watermark assumes non-decreasing submit times; a trace with
+  // timestamp jitter is clamped by Device::submit.
   const std::unique_ptr<host::Device> device =
       host::make_device(tiny_analytic(), 3);
   host::warm_fill(*device);
@@ -310,6 +310,7 @@ TEST(Replayer, OpenLoopSubmitStampsAreMonotone) {
   std::vector<host::Completion> log;
   replay_trace(in, *device, opts, nullptr, &log);
   ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(device->clamped_submits(), 1u);
   double prev = 0.0;
   for (const auto& c : log) {
     EXPECT_GE(c.submit_time_s, prev);

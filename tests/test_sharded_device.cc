@@ -4,8 +4,7 @@
 //   1. the merged completion log is byte-identical for any worker count;
 //   2. the log is byte-identical across poll cadences (poll withholds
 //      records whose position is not final; drain delivers everything);
-//   3. a one-shard device is the single-chip McChipDevice, log-for-log,
-//      and the per-shard stall ledger sums to the single-chip value;
+//   3. the per-shard stall ledger sums to the device total;
 //   4. flush is a cross-shard barrier;
 //   5. striping is a pure function of the lpn and covers every chip.
 #include "host/sharded_device.h"
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "host/driver.h"
-#include "host/mc_chip_device.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -84,7 +82,7 @@ TEST(ShardedDevice, MergedLogIdenticalForAnyWorkerCount) {
 }
 
 TEST(ShardedDevice, MergedLogIdenticalAtAnyPollCadence) {
-  // Same contract as the serial device, made non-trivial by the N
+  // Same contract as test_host.cc's, made non-trivial by the N
   // independent timelines: poll() withholds records that a future
   // submission could still displace in the (complete_time, id) order, so
   // any cadence of polls ending in one drain observes the same bytes.
@@ -135,43 +133,6 @@ TEST(ShardedDevice, PollWithholdsOnlyUnstableRecords) {
          got[i - 1].id < got[i].id);
     ASSERT_TRUE(ordered) << "log inversion at record " << i;
   }
-}
-
-TEST(ShardedDevice, OneShardIsTheSingleChipDevice) {
-  // shards = 1 must degenerate to McChipDevice exactly: same chip seed,
-  // same stream => byte-identical completion log, and the shard-0 stall
-  // ledger is the single-chip stall total.
-  const auto params = flash::FlashModelParams::default_2ynm();
-  const nand::Geometry geometry = nand::Geometry::tiny();
-  const std::uint64_t seed = 11;
-
-  auto make_sharded = [&] {
-    return std::make_unique<ShardedDevice>(geometry, params, seed,
-                                           /*shards=*/1, /*workers=*/4,
-                                           /*queue_count=*/2);
-  };
-  auto make_single = [&] {
-    return std::make_unique<McChipDevice>(
-        geometry, params, ShardedDevice::shard_seed(seed, 0),
-        /*queue_count=*/2);
-  };
-  const auto stream = mixed_stream(make_single()->logical_pages(), 2, 9);
-  ASSERT_GT(stream.size(), 500u);
-  EXPECT_EQ(replay_log(make_sharded, stream),
-            replay_log(make_single, stream));
-
-  // Stall ledgers: replay again on live devices and compare the sums.
-  auto sharded = make_sharded();
-  auto single = make_single();
-  for (const auto& c : stream) {
-    sharded->submit(c);
-    single->submit(c);
-  }
-  EXPECT_GT(sharded->stats().stall_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(sharded->stats().stall_seconds(),
-                   single->stats().stall_seconds());
-  EXPECT_DOUBLE_EQ(sharded->shard_stall_seconds(0),
-                   sharded->stats().stall_seconds());
 }
 
 TEST(ShardedDevice, PerShardStallLedgerSumsToDeviceTotal) {

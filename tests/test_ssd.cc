@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analytic_drive.h"
 #include "host/driver.h"
-#include "host/ssd_device.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
@@ -22,7 +22,7 @@ SsdConfig small_config(bool tuning) {
   return cfg;
 }
 
-void fill(host::SsdDevice& drive) { host::warm_fill(drive); }
+void fill(test::AnalyticDrive& drive) { host::warm_fill(drive); }
 
 std::vector<workload::IoRequest> synthetic_day(std::uint64_t logical,
                                                int requests, double read_frac,
@@ -45,7 +45,7 @@ std::vector<workload::IoRequest> synthetic_day(std::uint64_t logical,
 
 /// Replays one day of requests through the device and runs the nightly
 /// maintenance (the old Ssd::run_day, now via the queued interface).
-void run_day(host::SsdDevice& drive,
+void run_day(test::AnalyticDrive& drive,
              const std::vector<workload::IoRequest>& day) {
   for (const auto& c : workload::to_commands(day)) drive.submit(c);
   std::vector<host::Completion> done;
@@ -55,7 +55,7 @@ void run_day(host::SsdDevice& drive,
 
 TEST(Ssd, HostCountersMatchSubmittedPages) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 1);
+  test::AnalyticDrive drive(small_config(false), params, 1);
   fill(drive);
   const auto writes_before = drive.ssd().ftl().stats().host_writes;
   host::Command c;
@@ -73,7 +73,7 @@ TEST(Ssd, HostCountersMatchSubmittedPages) {
 
 TEST(Ssd, TrimCommandUnmapsPages) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 12);
+  test::AnalyticDrive drive(small_config(false), params, 12);
   fill(drive);
   const auto logical = drive.logical_pages();
   // Trim half of the logical space, then churn: GC never needs to move
@@ -98,7 +98,7 @@ TEST(Ssd, TrimCommandUnmapsPages) {
 
 TEST(Ssd, RunDayAdvancesClockAndStats) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 2);
+  test::AnalyticDrive drive(small_config(false), params, 2);
   fill(drive);
   const auto logical = drive.logical_pages();
   run_day(drive, synthetic_day(logical, 2000, 0.7, 3));
@@ -108,7 +108,7 @@ TEST(Ssd, RunDayAdvancesClockAndStats) {
 
 TEST(Ssd, RefreshBoundsDataAge) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 4);
+  test::AnalyticDrive drive(small_config(false), params, 4);
   fill(drive);
   const auto logical = drive.logical_pages();
   for (int day = 0; day < 20; ++day)
@@ -127,7 +127,7 @@ TEST(Ssd, RefreshBoundsDataAge) {
 
 TEST(Ssd, TuningLowersVpassOnDataBlocks) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(true), params, 5);
+  test::AnalyticDrive drive(small_config(true), params, 5);
   fill(drive);
   const auto logical = drive.logical_pages();
   for (int day = 0; day < 3; ++day)
@@ -144,7 +144,7 @@ TEST(Ssd, TuningLowersVpassOnDataBlocks) {
 
 TEST(Ssd, BaselineKeepsNominalVpass) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 6);
+  test::AnalyticDrive drive(small_config(false), params, 6);
   fill(drive);
   const auto logical = drive.logical_pages();
   for (int day = 0; day < 3; ++day)
@@ -156,7 +156,7 @@ TEST(Ssd, BaselineKeepsNominalVpass) {
 
 TEST(Ssd, DisturbAccumulatesOnReadHotBlocks) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 7);
+  test::AnalyticDrive drive(small_config(false), params, 7);
   fill(drive);
   const auto logical = drive.logical_pages();
   for (int day = 0; day < 2; ++day)
@@ -170,7 +170,7 @@ TEST(Ssd, DisturbAccumulatesOnReadHotBlocks) {
 
 TEST(Ssd, EpochResetClearsDisturbState) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(false), params, 8);
+  test::AnalyticDrive drive(small_config(false), params, 8);
   fill(drive);
   const auto logical = drive.logical_pages();
   // Read-heavy days, then enough time for every block to be refreshed.
@@ -192,7 +192,7 @@ TEST(Ssd, EpochResetClearsDisturbState) {
 
 TEST(Ssd, WorstRberSaneAndBounded) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(small_config(true), params, 9);
+  test::AnalyticDrive drive(small_config(true), params, 9);
   fill(drive);
   const auto logical = drive.logical_pages();
   for (int day = 0; day < 5; ++day)
@@ -205,8 +205,8 @@ TEST(Ssd, WorstRberSaneAndBounded) {
 
 TEST(Ssd, TuningReducesAccumulatedDisturb) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice tuned(small_config(true), params, 10);
-  host::SsdDevice baseline(small_config(false), params, 10);
+  test::AnalyticDrive tuned(small_config(true), params, 10);
+  test::AnalyticDrive baseline(small_config(false), params, 10);
   for (auto* d : {&tuned, &baseline}) fill(*d);
   const auto logical = tuned.logical_pages();
   for (int day = 0; day < 6; ++day) {
@@ -226,7 +226,7 @@ TEST(Ssd, EndToEndWithGeneratedCommandStream) {
   const auto params = flash::FlashModelParams::default_2ynm();
   auto cfg = small_config(true);
   cfg.ftl.blocks = 128;
-  host::SsdDevice drive(cfg, params, 11, /*queue_count=*/4);
+  test::AnalyticDrive drive(cfg, params, 11, /*queue_count=*/4);
   fill(drive);
   auto profile = workload::profile_by_name("fiu-web-vm");
   profile.daily_page_ios = 20000;  // Scale to the tiny test drive.

@@ -3,9 +3,9 @@
 // and stall attribution on top of it.
 #include <gtest/gtest.h>
 
+#include "analytic_drive.h"
 #include "core/overheads.h"
 #include "host/driver.h"
-#include "host/ssd_device.h"
 #include "ssd/ssd.h"
 
 namespace rdsim::ssd {
@@ -35,9 +35,9 @@ std::vector<host::Command> mixed_day(std::uint64_t logical, int n,
   return day;
 }
 
-void fill(host::SsdDevice& drive) { host::warm_fill(drive); }
+void fill(test::AnalyticDrive& drive) { host::warm_fill(drive); }
 
-void run_day(host::SsdDevice& drive, const std::vector<host::Command>& day) {
+void run_day(test::AnalyticDrive& drive, const std::vector<host::Command>& day) {
   for (const auto& c : day) drive.submit(c);
   std::vector<host::Completion> done;
   drive.drain(&done);
@@ -46,7 +46,7 @@ void run_day(host::SsdDevice& drive, const std::vector<host::Command>& day) {
 
 TEST(SsdLatency, HostIoSecondsMatchArithmetic) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(tiny_config(false), params, 1);
+  test::AnalyticDrive drive(tiny_config(false), params, 1);
   host::Command c;
   c.lpn = 0;
   c.pages = 10;
@@ -69,7 +69,7 @@ TEST(SsdLatency, HostIoSecondsMatchArithmetic) {
 
 TEST(SsdLatency, BackgroundTimeAppearsUnderChurn) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(tiny_config(false), params, 2);
+  test::AnalyticDrive drive(tiny_config(false), params, 2);
   const auto logical = drive.logical_pages();
   fill(drive);
   for (int day = 0; day < 10; ++day)
@@ -82,8 +82,8 @@ TEST(SsdLatency, BackgroundTimeAppearsUnderChurn) {
 
 TEST(SsdLatency, TuningProbeTimeOnlyWhenEnabled) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice tuned(tiny_config(true), params, 3);
-  host::SsdDevice base(tiny_config(false), params, 3);
+  test::AnalyticDrive tuned(tiny_config(true), params, 3);
+  test::AnalyticDrive base(tiny_config(false), params, 3);
   for (auto* d : {&tuned, &base}) {
     const auto logical = d->logical_pages();
     fill(*d);
@@ -99,7 +99,7 @@ TEST(SsdLatency, MaintenanceReservesFlashTimeline) {
   // end_of_day() must push the device's flash timeline forward by the
   // maintenance busy time, so the next day's commands observe the stall.
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(tiny_config(true), params, 5);
+  test::AnalyticDrive drive(tiny_config(true), params, 5);
   fill(drive);
   run_day(drive, mixed_day(drive.logical_pages(), 1000, 40));
   const double before = drive.now_s();
@@ -111,7 +111,7 @@ TEST(SsdLatency, PerBlockProbeCostConsistentWithOverheadModel) {
   // The replayed per-block-per-day probe cost must land near the §4
   // overhead model's assumption (1 MEE read + ~1.5 step probes).
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::SsdDevice drive(tiny_config(true), params, 4);
+  test::AnalyticDrive drive(tiny_config(true), params, 4);
   const auto logical = drive.logical_pages();
   fill(drive);
   for (int day = 0; day < 5; ++day)

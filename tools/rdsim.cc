@@ -47,7 +47,7 @@ void print_usage(std::FILE* out) {
 
 int main(int argc, char** argv) {
   using namespace rdsim::sim;
-  CliOptions options = parse_cli(argc, argv, /*allow_experiment=*/true);
+  CliOptions options = parse_cli(argc, argv);
   if (options.help) {
     print_usage(stdout);
     return 0;
@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   options.config.stop_flag = &g_stop;
   try {
     const Table table = run_experiment(*info, options.config);
-    if (options.csv_requested || !options.csv_path.empty()) {
+    if (!options.no_file &&
+        (options.csv_requested || !options.csv_path.empty())) {
       const std::string path = options.csv_path.empty()
                                    ? default_csv_path(options, info->name)
                                    : options.csv_path;
