@@ -108,6 +108,13 @@ void parse_drive(Config& config, DriveSpec* drive,
       config, "drive.bitlines", drive->bitlines, 1, 1u << 20, diags));
   drive->pre_wear_pe =
       config.get_u64("drive.pre_wear_pe", drive->pre_wear_pe, diags);
+  // A Monte Carlo read that fails ECC ends in RDR, which induces its
+  // disturbs by reading a sibling wordline: a one-wordline block has none.
+  if (!drive->is_analytic() && drive->wordlines_per_block < 2)
+    diags->push_back({0, "drive.wordlines_per_block",
+                      "a Monte Carlo backend (mc_chip or sharded_mc) needs "
+                      "at least 2 wordlines per block (read-disturb "
+                      "recovery disturbs a sibling wordline)"});
 
   // Cross-field feasibility: GC can only ever reach gc_free_target free
   // blocks if the overprovisioned slack exceeds it (with one block of

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cassert>
-#include <cmath>
 
 namespace rdsim::core {
 
@@ -10,26 +9,34 @@ using flash::CellState;
 
 RdrResult ReadDisturbRecovery::recover(nand::Block& block,
                                        std::uint32_t wl) const {
+  return recover(block, wl, block.present_vth_page(wl));
+}
+
+RdrResult ReadDisturbRecovery::recover(nand::Block& block, std::uint32_t wl,
+                                       std::span<const double> vth) const {
   assert(block.programmed());
   const auto& geom = block.geometry();
+  assert(geom.wordlines_per_block >= 2 && vth.size() == geom.bitlines);
   const auto& model = block.model();
   const double pe = block.pe_cycles();
   const double days = block.retention_days();
+  const std::size_t n = geom.bitlines;
 
   RdrResult result;
   result.bits = static_cast<int>(2 * geom.bitlines);
+  result.corrected_states.resize(n);
+  std::uint8_t* observed = flash::state_bytes(result.corrected_states.data());
 
   // Step 1: measure current threshold voltages via read-retry.
-  const std::vector<double> scan1 = block.read_retry_scan(
-      wl, options_.retry_lo, options_.retry_hi, options_.retry_step);
+  std::vector<double> scan1(vth.begin(), vth.end());
+  nand::quantize_retry(scan1, options_.retry_lo, options_.retry_hi,
+                       options_.retry_step);
   const double dose_before = block.dose_for_wordline(wl);
 
   // Errors before recovery, from the pre-disturb measurement.
-  for (std::uint32_t bl = 0; bl < geom.bitlines; ++bl) {
-    const CellState observed = model.classify(scan1[bl]);
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_before += flash::bit_errors_between(observed, truth);
-  }
+  const std::uint8_t* truth = block.wordline_states(wl).data();
+  model.classify_batch(scan1.data(), n, observed);
+  result.errors_before = flash::bit_errors(observed, truth, n);
 
   // Step 2: induce additional disturbs so susceptible cells reveal
   // themselves. Reads are addressed at a sibling wordline; the dose lands
@@ -44,59 +51,54 @@ RdrResult ReadDisturbRecovery::recover(nand::Block& block,
   // reference (below it cells already read as the lower state); the upper
   // edge is the disturb-aware PDF intersection of the two adjacent states
   // plus a small margin — beyond it cells overwhelmingly belong to the
-  // higher state.
+  // higher state. Boundary b separates states b and b + 1.
   const double dose_now = block.dose_for_wordline(wl);
   const auto& params = model.params();
-  struct Boundary {
-    CellState lower;
-    double lo;  // Read reference voltage.
-    double hi;  // PDF intersection + margin.
-  };
-  const std::array<double, 3> refs = {params.vref_a, params.vref_b,
-                                      params.vref_c};
-  std::array<Boundary, 3> boundaries{};
-  for (int b = 0; b < 3; ++b) {
-    const auto lower = static_cast<CellState>(b);
-    boundaries[b].lower = lower;
-    boundaries[b].lo = refs[b];
-    boundaries[b].hi = model.pdf_intersection(lower, pe, days, dose_now) +
-                       options_.upper_margin;
-  }
-  // dVref at voltage v: the shift a nominal-susceptibility cell already
-  // sitting at v would experience from the induced dose alone.
-  auto dvref_at = [&](double v) {
-    return model.apply_disturb(v, 1.0, extra_dose) - v;
+  const std::array<double, 3> lo = {params.vref_a, params.vref_b,
+                                   params.vref_c};
+  std::array<double, 3> hi{};
+  for (int b = 0; b < 3; ++b)
+    hi[b] = model.pdf_intersection(static_cast<CellState>(b), pe, days,
+                                   dose_now) +
+            options_.upper_margin;
+  // The first boundary whose window holds v (3: none).
+  auto window_of = [&](double v) {
+    for (int b = 0; b < 3; ++b)
+      if (v >= lo[b] && v <= hi[b]) return b;
+    return 3;
   };
 
-  result.corrected_states.resize(geom.bitlines);
+  // Decisiveness threshold per cell: prone_factor * dVref, where dVref
+  // is the shift a nominal-susceptibility cell already sitting at the
+  // cell's scan2 voltage would experience from the induced dose alone.
+  std::vector<double> dvref(n);
+  model.disturb_shift_batch(scan2.data(), n, extra_dose, dvref.data());
+  model.classify_batch(scan2.data(), n, observed);
+
   // Step 4: re-label cells in the ambiguous overlap region just above a
   // boundary. Disturb-prone cells (dVth decisively above dVref) are
   // predicted to belong to the lower distribution — they were disturbed
   // upward across the reference; disturb-resistant ones stay with the
-  // higher distribution they read as.
-  for (std::uint32_t bl = 0; bl < geom.bitlines; ++bl) {
+  // higher distribution they read as. The hit boundary's index is its
+  // lower state.
+  int in_window = 0;
+  int relabeled = 0;
+  for (std::size_t bl = 0; bl < n; ++bl) {
     const double v = scan2[bl];
-    CellState observed = model.classify(v);
-    const Boundary* hit = nullptr;
-    for (const auto& b : boundaries) {
-      if (v >= b.lo && v <= b.hi) {
-        hit = &b;
-        break;
-      }
-    }
-    if (hit != nullptr) {
-      ++result.cells_in_window;
-      const double dv = scan2[bl] - scan1[bl];
-      if (dv > options_.prone_factor * dvref_at(v) &&
-          observed != hit->lower) {
-        ++result.cells_relabeled;
-        observed = hit->lower;
-      }
-    }
-    result.corrected_states[bl] = observed;
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_after += flash::bit_errors_between(observed, truth);
+    const int hit = window_of(v);
+    // Selects rather than branches: whether a cell is in a window and
+    // whether it is prone are both coin flips to the branch predictor.
+    const auto lower = static_cast<std::uint8_t>(hit);
+    const bool in = hit < 3;
+    const bool prone = v - scan1[bl] > options_.prone_factor * dvref[bl];
+    const bool relabel = in & prone & (observed[bl] != lower);
+    in_window += in;
+    relabeled += relabel;
+    observed[bl] = relabel ? lower : observed[bl];
   }
+  result.cells_in_window = in_window;
+  result.cells_relabeled = relabeled;
+  result.errors_after = flash::bit_errors(observed, truth, n);
   return result;
 }
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flash/vth_model.h"
@@ -76,8 +77,16 @@ class ReadDisturbRecovery {
   /// Runs RDR on wordline `wl` of `block`. Mutates the block: the induced
   /// extra reads are real disturbs (they are applied to a sibling wordline
   /// so that `wl`'s cells receive the dose). Returns before/after error
-  /// accounting against the block's ground truth.
+  /// accounting against the block's ground truth. The block needs at
+  /// least two wordlines (one to read, one to be disturbed).
   RdrResult recover(nand::Block& block, std::uint32_t wl) const;
+
+  /// The same, with the first measurement derived from `vth` — the
+  /// wordline's present Vth (Block::present_vth_page) sensed on the
+  /// block's current state — instead of a fresh sense. Bit-identical to
+  /// recover(block, wl) on that state.
+  RdrResult recover(nand::Block& block, std::uint32_t wl,
+                    std::span<const double> vth) const;
 
  private:
   RdrOptions options_;

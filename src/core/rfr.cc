@@ -15,20 +15,20 @@ RfrResult RetentionFailureRecovery::recover(nand::Block& block,
   const auto& model = block.model();
   const auto& params = model.params();
   const double pe = block.pe_cycles();
+  const std::size_t n = geom.bitlines;
 
   RfrResult result;
   result.bits = static_cast<int>(2 * geom.bitlines);
-  result.corrected_states.resize(geom.bitlines);
+  result.corrected_states.resize(n);
+  std::uint8_t* observed = flash::state_bytes(result.corrected_states.data());
 
   // Step 1: measure the aged page.
   const std::vector<double> scan1 = block.read_retry_scan(
       wl, options_.retry_lo, options_.retry_hi, options_.retry_step);
   const double days_before = block.retention_days();
-  for (std::uint32_t bl = 0; bl < geom.bitlines; ++bl) {
-    const CellState observed = model.classify(scan1[bl]);
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_before += flash::bit_errors_between(observed, truth);
-  }
+  const std::uint8_t* truth = block.wordline_states(wl).data();
+  model.classify_batch(scan1.data(), n, observed);
+  result.errors_before = flash::bit_errors(observed, truth, n);
 
   // Step 2: controlled extra retention, then re-measure.
   block.advance_time(options_.extra_days);
@@ -69,9 +69,9 @@ RfrResult RetentionFailureRecovery::recover(nand::Block& block,
 
   // Step 4: fast-leaking cells below a boundary belong to the higher
   // state.
-  for (std::uint32_t bl = 0; bl < geom.bitlines; ++bl) {
+  model.classify_batch(scan2.data(), n, observed);
+  for (std::size_t bl = 0; bl < n; ++bl) {
     const double v = scan2[bl];
-    CellState observed = model.classify(v);
     const Boundary* hit = nullptr;
     for (const auto& b : boundaries) {
       if (v >= b.lo && v < b.hi) {
@@ -83,17 +83,15 @@ RfrResult RetentionFailureRecovery::recover(nand::Block& block,
       ++result.cells_in_window;
       const double drift = scan2[bl] - scan1[bl];  // <= 0 for leakers.
       const double threshold = options_.fast_factor * drift_at(v);
-      const auto higher =
-          static_cast<CellState>(static_cast<int>(hit->lower) + 1);
-      if (drift < threshold && observed != higher) {
+      const auto higher = static_cast<std::uint8_t>(
+          static_cast<int>(hit->lower) + 1);
+      if (drift < threshold && observed[bl] != higher) {
         ++result.cells_relabeled;
-        observed = higher;
+        observed[bl] = higher;
       }
     }
-    result.corrected_states[bl] = observed;
-    const CellState truth = block.cell_state(wl, bl);
-    result.errors_after += flash::bit_errors_between(observed, truth);
   }
+  result.errors_after = flash::bit_errors(observed, truth, n);
   return result;
 }
 

@@ -10,8 +10,6 @@
 
 namespace rdsim::core {
 
-using flash::CellState;
-
 ReadRefs VrefOptimizer::defaults(const nand::Block& block) {
   const auto& p = block.model().params();
   return {p.vref_a, p.vref_b, p.vref_c};
@@ -19,10 +17,16 @@ ReadRefs VrefOptimizer::defaults(const nand::Block& block) {
 
 ReadRefs VrefOptimizer::learn(const nand::Block& block,
                               std::uint32_t wl) const {
+  return learn(block, block.present_vth_page(wl));
+}
+
+ReadRefs VrefOptimizer::learn(const nand::Block& block,
+                              std::span<const double> vth) const {
   const auto& p = block.model().params();
   const double lo = 0.0;
   const double hi = p.vpass_nominal + 8.0;
-  const auto scan = block.read_retry_scan(wl, lo, hi, options_.scan_step);
+  std::vector<double> scan(vth.begin(), vth.end());
+  nand::quantize_retry(scan, lo, hi, options_.scan_step);
 
   const auto bins = static_cast<std::size_t>((hi - lo) / options_.scan_step);
   Histogram hist(lo, hi, bins);
@@ -70,24 +74,12 @@ int VrefOptimizer::count_errors_with_refs(const nand::Block& block,
                                           std::uint32_t wl,
                                           const ReadRefs& refs) {
   assert(refs.va < refs.vb && refs.vb < refs.vc);
-  int errors = 0;
-  // One batched Vth pass instead of per-cell present_vth calls (which
-  // would re-derive the page's dose/age invariants per bitline).
   const std::vector<double> vth = block.present_vth_page(wl);
-  for (std::uint32_t bl = 0; bl < block.geometry().bitlines; ++bl) {
-    const double v = vth[bl];
-    CellState observed;
-    if (v < refs.va)
-      observed = CellState::kEr;
-    else if (v < refs.vb)
-      observed = CellState::kP1;
-    else if (v < refs.vc)
-      observed = CellState::kP2;
-    else
-      observed = CellState::kP3;
-    errors += flash::bit_errors_between(observed, block.cell_state(wl, bl));
-  }
-  return errors;
+  std::vector<std::uint8_t> sensed(vth.size());
+  flash::VthModel::classify_batch(vth.data(), vth.size(), refs.va, refs.vb,
+                                  refs.vc, sensed.data());
+  return flash::bit_errors(sensed.data(), block.wordline_states(wl).data(),
+                           sensed.size());
 }
 
 }  // namespace rdsim::core

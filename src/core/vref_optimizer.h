@@ -14,8 +14,8 @@
 // side, as the paper notes.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <span>
 
 #include "nand/block.h"
 
@@ -43,6 +43,10 @@ class VrefOptimizer {
 
   /// Learns the optimal references for wordline `wl` from one retry sweep.
   ReadRefs learn(const nand::Block& block, std::uint32_t wl) const;
+
+  /// The same, with the sweep quantized from `vth` — the wordline's
+  /// present Vth on the block's current state — instead of a fresh sense.
+  ReadRefs learn(const nand::Block& block, std::span<const double> vth) const;
 
   /// Default (factory) references of the block's model.
   static ReadRefs defaults(const nand::Block& block);

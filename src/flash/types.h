@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -48,6 +49,60 @@ constexpr CellState state_of_bits(int lsb, int msb) {
 /// Number of differing data bits between two states (0..2).
 constexpr int bit_errors_between(CellState a, CellState b) {
   return (lsb_of(a) != lsb_of(b) ? 1 : 0) + (msb_of(a) != msb_of(b) ? 1 : 0);
+}
+
+/// Data bits of a state byte, as branch-free arithmetic the vectorizer can
+/// keep in byte lanes (equal to lsb_of / msb_of; checked below).
+constexpr std::uint8_t lsb_bit(std::uint8_t state) {
+  return static_cast<std::uint8_t>(1u ^ (state >> 1));
+}
+constexpr std::uint8_t msb_bit(std::uint8_t state) {
+  return static_cast<std::uint8_t>(
+      1u ^ (((static_cast<unsigned>(state) + 1u) >> 1) & 1u));
+}
+
+namespace detail {
+constexpr bool bit_tables_match() {
+  for (const CellState state : kAllStates) {
+    const auto byte = static_cast<std::uint8_t>(state);
+    if (lsb_bit(byte) != lsb_of(state) || msb_bit(byte) != msb_of(state))
+      return false;
+  }
+  return true;
+}
+}  // namespace detail
+static_assert(detail::bit_tables_match(),
+              "branch-free bit extraction must match the Gray code above");
+
+/// Byte view of a CellState row, so state vectors and the chip's state
+/// bytes share the batched helpers below (unsigned char may alias any
+/// object).
+static_assert(sizeof(CellState) == 1);
+inline const std::uint8_t* state_bytes(const CellState* states) {
+  return reinterpret_cast<const std::uint8_t*>(states);
+}
+inline std::uint8_t* state_bytes(CellState* states) {
+  return reinterpret_cast<std::uint8_t*>(states);
+}
+
+/// LSB-page, MSB-page and both-page bit mismatches between the state rows
+/// a[0..n) and b[0..n) — bit_errors_between summed over the row, as
+/// straight-line loops.
+inline int lsb_errors(const std::uint8_t* a, const std::uint8_t* b,
+                      std::size_t n) {
+  int errors = 0;
+  for (std::size_t i = 0; i < n; ++i) errors += lsb_bit(a[i]) != lsb_bit(b[i]);
+  return errors;
+}
+inline int msb_errors(const std::uint8_t* a, const std::uint8_t* b,
+                      std::size_t n) {
+  int errors = 0;
+  for (std::size_t i = 0; i < n; ++i) errors += msb_bit(a[i]) != msb_bit(b[i]);
+  return errors;
+}
+inline int bit_errors(const std::uint8_t* a, const std::uint8_t* b,
+                      std::size_t n) {
+  return lsb_errors(a, b, n) + msb_errors(a, b, n);
 }
 
 constexpr std::string_view state_name(CellState state) {

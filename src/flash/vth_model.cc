@@ -191,6 +191,24 @@ double VthModel::apply_disturb(double v0, double susceptibility,
   return v0 + vmath::vlog1p(y) / b;
 }
 
+void VthModel::disturb_shift_batch(const double* v, std::size_t n,
+                                   double dose, double* out) const {
+  if (dose <= 0.0) {
+    std::fill_n(out, n, 0.0);
+    return;
+  }
+  // apply_disturb's arithmetic with susceptibility 1 (a * 1 == a exactly)
+  // and the page-invariant product hoisted: it associates left to right
+  // there too, so k * seed rounds identically.
+  const double b = params_.disturb_b;
+  const double k = params_.disturb_a * b * dose;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double seed =
+        static_cast<double>(static_cast<float>(vmath::vexp(-b * v[i])));
+    out[i] = (v[i] + vmath::vlog1p(k * seed) / b) - v[i];
+  }
+}
+
 double VthModel::retention_shift(double v0, double days,
                                  double pe_cycles) const {
   if (days <= 0.0) return 0.0;
@@ -272,7 +290,11 @@ CellState VthModel::classify(double vth) const {
 
 void VthModel::classify_batch(const double* vth, std::size_t n,
                               std::uint8_t* out) const {
-  const double va = params_.vref_a, vb = params_.vref_b, vc = params_.vref_c;
+  classify_batch(vth, n, params_.vref_a, params_.vref_b, params_.vref_c, out);
+}
+
+void VthModel::classify_batch(const double* vth, std::size_t n, double va,
+                              double vb, double vc, std::uint8_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
     const double v = vth[i];
     // Same result as classify(): the references are ordered, so counting

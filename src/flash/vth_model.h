@@ -120,6 +120,12 @@ class VthModel {
   /// lower-v0 cells shift more.
   double apply_disturb(double v0, double susceptibility, double dose) const;
 
+  /// Batched disturb shift of nominal cells: out[i] = apply_disturb(v[i],
+  /// 1, dose) - v[i], bit for bit, as one straight-line pass (RDR's dVref
+  /// across a scanned row).
+  void disturb_shift_batch(const double* v, std::size_t n, double dose,
+                           double* out) const;
+
   /// Retention leakage: Vth shift (<= 0 for programmed cells) after
   /// `days` of retention on a block with `pe_cycles` wear, for a cell
   /// programmed at `v0`.
@@ -165,6 +171,10 @@ class VthModel {
   /// references; out[i] is the CellState as a byte. Identical to classify.
   void classify_batch(const double* vth, std::size_t n,
                       std::uint8_t* out) const;
+  /// The same against explicit ordered references va < vb < vc (a read
+  /// with learned references).
+  static void classify_batch(const double* vth, std::size_t n, double va,
+                             double vb, double vc, std::uint8_t* out);
 
   /// Hard-decision state for a threshold voltage using the three read
   /// references (Va, Vb, Vc).

@@ -14,12 +14,6 @@ namespace {
 /// streams but still a pure function of the shard seed.
 constexpr std::uint64_t kFaultStream = 0xFA017;
 
-/// The data bit of `state` selected by the page kind.
-int bit_of(flash::CellState state, nand::PageKind kind) {
-  return kind == nand::PageKind::kLsb ? flash::lsb_of(state)
-                                      : flash::msb_of(state);
-}
-
 }  // namespace
 
 ChipServicer::ChipServicer(const nand::Geometry& geometry,
@@ -87,38 +81,23 @@ bool ChipServicer::page_decodes(int errors) const {
 
 int ChipServicer::page_errors_with_refs(std::uint32_t block,
                                         const nand::PageAddress& address,
-                                        const core::ReadRefs& refs) const {
-  const nand::Block& blk = chip_.block(block);
-  const std::vector<double> vth = blk.present_vth_page(address.wordline);
-  int errors = 0;
-  for (std::uint32_t bl = 0; bl < chip_.geometry().bitlines; ++bl) {
-    const double v = vth[bl];
-    flash::CellState sensed;
-    if (v < refs.va)
-      sensed = flash::CellState::kEr;
-    else if (v < refs.vb)
-      sensed = flash::CellState::kP1;
-    else if (v < refs.vc)
-      sensed = flash::CellState::kP2;
-    else
-      sensed = flash::CellState::kP3;
-    const flash::CellState truth = blk.cell_state(address.wordline, bl);
-    errors += bit_of(sensed, address.kind) != bit_of(truth, address.kind);
-  }
-  return errors;
+                                        const core::ReadRefs& refs,
+                                        std::span<const double> vth) const {
+  std::vector<std::uint8_t> sensed(vth.size());
+  flash::VthModel::classify_batch(vth.data(), vth.size(), refs.va, refs.vb,
+                                  refs.vc, sensed.data());
+  return nand::page_bit_errors(
+      address.kind, sensed,
+      chip_.block(block).wordline_states(address.wordline));
 }
 
 int ChipServicer::page_errors_after_rdr(
     std::uint32_t block, const nand::PageAddress& address,
     const core::RdrResult& recovered) const {
-  const nand::Block& blk = chip_.block(block);
-  int errors = 0;
-  for (std::uint32_t bl = 0; bl < chip_.geometry().bitlines; ++bl) {
-    const flash::CellState truth = blk.cell_state(address.wordline, bl);
-    errors += bit_of(recovered.corrected_states[bl], address.kind) !=
-              bit_of(truth, address.kind);
-  }
-  return errors;
+  const auto& states = recovered.corrected_states;
+  return nand::page_bit_errors(
+      address.kind, {flash::state_bytes(states.data()), states.size()},
+      chip_.block(block).wordline_states(address.wordline));
 }
 
 bool ChipServicer::latent_bad(std::uint64_t lpn, std::uint32_t block) const {
@@ -162,13 +141,17 @@ ServiceCost ChipServicer::service_page(CommandKind kind, std::uint64_t lpn) {
       ++error_stats_.retry_attempts;
       error_stats_.retry_seconds += retry_charge_s_;
       cost.busy_s += retry_charge_s_;
+      // One present-Vth row of the wordline serves the learning sweep,
+      // the re-read and RDR's first measurement: the block does not
+      // change between them (see the header comment).
+      std::vector<double> vth;
       if (!latent) {
-        const core::ReadRefs refs = vref_.learn(chip_.block(b),
-                                                address.wordline);
+        vth = chip_.block(b).present_vth_page(address.wordline);
+        const core::ReadRefs refs = vref_.learn(chip_.block(b), vth);
         // A degenerate learn (non-monotone refs from a collapsed valley
         // search) cannot be sensed with; treat the step as failed.
         if (refs.va < refs.vb && refs.vb < refs.vc) {
-          const int errors = page_errors_with_refs(b, address, refs);
+          const int errors = page_errors_with_refs(b, address, refs, vth);
           if (page_decodes(errors)) {
             cost.status = Status::kRecovered;
             ++error_stats_.reads_retry_recovered;
@@ -184,7 +167,7 @@ ServiceCost ChipServicer::service_page(CommandKind kind, std::uint64_t lpn) {
       cost.busy_s += rdr_charge_s_;
       if (!latent) {
         const core::RdrResult recovered =
-            rdr_.recover(chip_.block(b), address.wordline);
+            rdr_.recover(chip_.block(b), address.wordline, vth);
         const int errors = page_errors_after_rdr(b, address, recovered);
         if (page_decodes(errors)) {
           cost.status = Status::kRecovered;

@@ -24,7 +24,11 @@
 // recovery cost shows up in the tail latencies, and per-step attribution
 // accumulates in error_stats(). With raw errors within ECC capability —
 // the normal case — the ladder is bit-transparent: same senses, same
-// latency, same chip state as a ladder-less read.
+// latency, same chip state as a ladder-less read. An escalation senses
+// the wordline once after the failed read and hands that one present-Vth
+// row to the optimizer's learning sweep, the retry re-read and RDR's first
+// measurement: all three see the same unchanged block state, so sharing
+// the row changes no result.
 //
 // Both the construction-time bulk program and each turnover reprogram are
 // O(bookkeeping) under the block's lazy cell materialization: a rewritten
@@ -34,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rdr.h"
@@ -123,12 +128,14 @@ class ChipServicer : public Servicer {
   /// per-codeword load is the ceiling split of the page total.
   bool page_decodes(int errors) const;
 
-  /// Raw bit errors of the page at `address` when the wordline is sensed
-  /// with learned references `refs` (pass-through blocking ignored — the
-  /// retry re-read is a refined sense, like the optimizer's evaluator).
+  /// Raw bit errors of the page at `address` when the wordline, whose
+  /// present Vth is `vth`, is sensed with learned references `refs`
+  /// (pass-through blocking ignored — the retry re-read is a refined
+  /// sense, like the optimizer's evaluator).
   int page_errors_with_refs(std::uint32_t block,
                             const nand::PageAddress& address,
-                            const core::ReadRefs& refs) const;
+                            const core::ReadRefs& refs,
+                            std::span<const double> vth) const;
 
   /// Raw bit errors of the page at `address` in RDR's re-labeled states.
   int page_errors_after_rdr(std::uint32_t block,

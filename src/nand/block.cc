@@ -10,34 +10,32 @@
 namespace rdsim::nand {
 
 using flash::CellState;
+using flash::lsb_bit;
+using flash::msb_bit;
 
-namespace {
-
-/// Data bit of a state byte, as branch-free arithmetic the vectorizer can
-/// keep in byte lanes (equivalent to flash::lsb_of / flash::msb_of).
-constexpr std::uint8_t lsb_bit(std::uint8_t state) {
-  return static_cast<std::uint8_t>(1u ^ (state >> 1));
-}
-constexpr std::uint8_t msb_bit(std::uint8_t state) {
-  return static_cast<std::uint8_t>(
-      1u ^ (((static_cast<unsigned>(state) + 1u) >> 1) & 1u));
-}
-
-constexpr bool bit_tables_match() {
-  for (int s = 0; s < 4; ++s) {
-    const auto state = static_cast<CellState>(s);
-    if (lsb_bit(static_cast<std::uint8_t>(s)) != flash::lsb_of(state))
-      return false;
-    if (msb_bit(static_cast<std::uint8_t>(s)) != flash::msb_of(state))
-      return false;
+void quantize_retry(std::span<double> vth, double lo, double hi,
+                    double step) {
+  assert(step > 0.0 && hi > lo);
+  for (double& v : vth) {
+    if (v < lo) {
+      v = lo;
+    } else if (v >= hi) {
+      v = hi;
+    } else {
+      // First retry step at which the cell conducts.
+      const double k = std::ceil((v - lo) / step);
+      v = std::min(lo + k * step, hi);
+    }
   }
-  return true;
 }
-static_assert(bit_tables_match(),
-              "branch-free bit extraction must match the Gray code of "
-              "flash/types.h");
 
-}  // namespace
+int page_bit_errors(PageKind kind, std::span<const std::uint8_t> sensed,
+                    std::span<const std::uint8_t> truth) {
+  assert(sensed.size() == truth.size());
+  return kind == PageKind::kLsb
+             ? flash::lsb_errors(sensed.data(), truth.data(), sensed.size())
+             : flash::msb_errors(sensed.data(), truth.data(), sensed.size());
+}
 
 Block::Block(const Geometry& geometry, const flash::VthModel& model, Rng rng)
     : geometry_(geometry),
@@ -306,18 +304,8 @@ ReadResult Block::read_page(PageAddress address) {
 
 int Block::count_errors(PageAddress address) const {
   sense_page(address.wordline);
-  const std::size_t base = index(address.wordline, 0);
-  const std::uint8_t* sensed = state_scratch_.data();
-  const std::uint8_t* truth = state_ + base;
-  int errors = 0;
-  if (address.kind == PageKind::kLsb) {
-    for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl)
-      errors += lsb_bit(sensed[bl]) != lsb_bit(truth[bl]);
-  } else {
-    for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl)
-      errors += msb_bit(sensed[bl]) != msb_bit(truth[bl]);
-  }
-  return errors;
+  return page_bit_errors(address.kind, state_scratch_,
+                         wordline_states(address.wordline));
 }
 
 int Block::count_blocked_bitlines(std::uint32_t wl, double vpass) const {
@@ -335,21 +323,8 @@ int Block::count_blocked_bitlines(std::uint32_t wl, double vpass) const {
 
 std::vector<double> Block::read_retry_scan(std::uint32_t wl, double lo,
                                            double hi, double step) const {
-  assert(step > 0.0 && hi > lo);
-  std::vector<double> out(geometry_.bitlines);
-  present_vth_into(wl, out.data());
-  for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl) {
-    const double v = out[bl];
-    if (v < lo) {
-      out[bl] = lo;
-    } else if (v >= hi) {
-      out[bl] = hi;
-    } else {
-      // First retry step at which the cell conducts.
-      const double k = std::ceil((v - lo) / step);
-      out[bl] = std::min(lo + k * step, hi);
-    }
-  }
+  std::vector<double> out = present_vth_page(wl);
+  quantize_retry(out, lo, hi, step);
   return out;
 }
 

@@ -33,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -50,6 +51,17 @@ struct ReadResult {
   PageBits bits;            ///< Sensed data.
   int raw_bit_errors = 0;   ///< Mismatches vs programmed ground truth.
 };
+
+/// The read-retry quantization, in place: each present Vth becomes the
+/// first retry level (lo + k * step) at which the cell conducts, clamped
+/// to [lo, hi]. Lets a caller that already holds a wordline's present Vth
+/// derive any retry scan of it without sensing again.
+void quantize_retry(std::span<double> vth, double lo, double hi, double step);
+
+/// Raw bit errors of the `kind` page between sensed and intended state
+/// rows of equal length.
+int page_bit_errors(PageKind kind, std::span<const std::uint8_t> sensed,
+                    std::span<const std::uint8_t> truth);
 
 class Block {
  public:
@@ -121,6 +133,14 @@ class Block {
   /// by one batched pass (bit-identical to present_vth per cell).
   std::vector<double> present_vth_page(std::uint32_t wl) const;
 
+  /// Intended (programmed) states of every cell on wordline `wl`, as
+  /// CellState bytes — the truth row batched error counts compare with.
+  /// Valid until the block is erased or reprogrammed.
+  std::span<const std::uint8_t> wordline_states(std::uint32_t wl) const {
+    ensure_wordline(wl);
+    return {state_ + index(wl, 0), geometry_.bitlines};
+  }
+
   /// Intended (programmed) state of one cell.
   flash::CellState cell_state(std::uint32_t wl, std::uint32_t bl) const {
     ensure_wordline(wl);
@@ -145,7 +165,8 @@ class Block {
   /// Read-retry scan: quantized threshold voltage of every cell on
   /// wordline `wl`, stepping the read reference from `lo` to `hi` by
   /// `step` (mimics the retry interface real MLC parts expose). Cells at
-  /// or above `hi` report `hi`.
+  /// or above `hi` report `hi`. Equal to present_vth_page followed by
+  /// quantize_retry.
   std::vector<double> read_retry_scan(std::uint32_t wl, double lo, double hi,
                                       double step) const;
 

@@ -221,6 +221,31 @@ TEST(Spec, OutOfRangeValuesAreDiagnosed) {
   EXPECT_TRUE(has_diag(diags, "workload.trim_fraction", "out of range"));
 }
 
+TEST(Spec, OneWordlineMcBlockIsDiagnosed) {
+  // RDR disturbs a sibling wordline, so a Monte Carlo block needs two;
+  // the analytic backends have no wordlines to recover and accept one.
+  for (const char* backend : {"mc_chip", "sharded_mc"}) {
+    std::vector<Diagnostic> diags;
+    parse_text(std::string("[drive]\nbackend = ") + backend +
+                   "\nwordlines_per_block = 1\npre_wear_pe = 30000\n"
+                   "[workload]\nprofile = postmark\n",
+               &diags);
+    EXPECT_TRUE(has_diag(diags, "drive.wordlines_per_block", "at least 2"))
+        << backend;
+  }
+  std::vector<Diagnostic> diags;
+  parse_text(
+      "[drive]\nbackend = mc_chip\nwordlines_per_block = 2\n"
+      "[workload]\nprofile = postmark\n",
+      &diags);
+  EXPECT_TRUE(diags.empty()) << format_diagnostics(diags);
+  parse_text(
+      "[drive]\nbackend = analytic\nwordlines_per_block = 1\n"
+      "[workload]\nprofile = postmark\n",
+      &diags);
+  EXPECT_TRUE(diags.empty()) << format_diagnostics(diags);
+}
+
 TEST(Spec, UnknownKeysAreDiagnosed) {
   std::vector<Diagnostic> diags;
   parse_text(

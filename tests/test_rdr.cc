@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "core/vref_optimizer.h"
 #include "flash/types.h"
 #include "nand/chip.h"
 
@@ -142,6 +146,140 @@ TEST(Rdr, WorksOnFirstWordline) {
   block.apply_reads(1, 1e6);
   const auto result = ReadDisturbRecovery().recover(block, 0);
   EXPECT_LE(result.errors_after, result.errors_before);
+}
+
+void expect_same_result(const RdrResult& a, const RdrResult& b) {
+  EXPECT_EQ(a.bits, b.bits);
+  EXPECT_EQ(a.errors_before, b.errors_before);
+  EXPECT_EQ(a.errors_after, b.errors_after);
+  EXPECT_EQ(a.cells_relabeled, b.cells_relabeled);
+  EXPECT_EQ(a.cells_in_window, b.cells_in_window);
+  EXPECT_EQ(a.corrected_states, b.corrected_states);
+}
+
+TEST(Rdr, SharedSenseBitIdenticalToOwnSense) {
+  // The servicer's ladder hands RDR the present-Vth row it sensed after
+  // the failed read. On twin chips (same seed, same history, worn and
+  // aged so every sense stage runs) that must equal RDR sensing for
+  // itself, field for field, and leave the block with the same dose.
+  for (const std::uint32_t wl : {0u, 30u, 63u}) {
+    SCOPED_TRACE(testing::Message() << "wl=" << wl);
+    auto own = worn_chip(51, 25000);
+    auto shared = worn_chip(51, 25000);
+    for (auto* chip : {&own, &shared}) {
+      chip->block(0).advance_time(2.0);
+      chip->block(0).apply_reads(wl == 0 ? 1 : wl - 1, 4e5);
+      chip->block(0).read_page({wl, nand::PageKind::kMsb});
+    }
+    const auto a = ReadDisturbRecovery().recover(own.block(0), wl);
+    const std::vector<double> vth = shared.block(0).present_vth_page(wl);
+    const auto b = ReadDisturbRecovery().recover(shared.block(0), wl, vth);
+    expect_same_result(a, b);
+    EXPECT_GT(a.cells_relabeled, 0);
+    EXPECT_EQ(own.block(0).dose(), shared.block(0).dose());
+    for (const std::uint32_t w : {0u, wl})
+      EXPECT_EQ(own.block(0).dose_for_wordline(w),
+                shared.block(0).dose_for_wordline(w));
+  }
+}
+
+/// RDR as a per-cell scalar loop (classify, cell_state and
+/// bit_errors_between per bitline; dVref from apply_disturb per window
+/// cell) — the reference the batched implementation must reproduce.
+RdrResult scalar_recover(nand::Block& block, std::uint32_t wl,
+                         const RdrOptions& o) {
+  const auto& model = block.model();
+  const auto& p = model.params();
+  const std::uint32_t n = block.geometry().bitlines;
+  RdrResult r;
+  r.bits = static_cast<int>(2 * n);
+  const auto scan1 =
+      block.read_retry_scan(wl, o.retry_lo, o.retry_hi, o.retry_step);
+  const double dose_before = block.dose_for_wordline(wl);
+  for (std::uint32_t bl = 0; bl < n; ++bl)
+    r.errors_before += flash::bit_errors_between(model.classify(scan1[bl]),
+                                                 block.cell_state(wl, bl));
+  block.apply_reads(wl == 0 ? 1 : wl - 1, o.extra_reads);
+  const auto scan2 =
+      block.read_retry_scan(wl, o.retry_lo, o.retry_hi, o.retry_step);
+  const double extra = block.dose_for_wordline(wl) - dose_before;
+  const double dose_now = block.dose_for_wordline(wl);
+  const std::array<double, 3> lo = {p.vref_a, p.vref_b, p.vref_c};
+  std::array<double, 3> hi{};
+  for (int b = 0; b < 3; ++b)
+    hi[b] = model.pdf_intersection(static_cast<flash::CellState>(b),
+                                   block.pe_cycles(), block.retention_days(),
+                                   dose_now) +
+            o.upper_margin;
+  for (std::uint32_t bl = 0; bl < n; ++bl) {
+    const double v = scan2[bl];
+    flash::CellState observed = model.classify(v);
+    for (int b = 0; b < 3; ++b) {
+      if (v < lo[b] || v > hi[b]) continue;
+      ++r.cells_in_window;
+      const double dvref = model.apply_disturb(v, 1.0, extra) - v;
+      const auto lower = static_cast<flash::CellState>(b);
+      if (v - scan1[bl] > o.prone_factor * dvref && observed != lower) {
+        ++r.cells_relabeled;
+        observed = lower;
+      }
+      break;
+    }
+    r.corrected_states.push_back(observed);
+    r.errors_after +=
+        flash::bit_errors_between(observed, block.cell_state(wl, bl));
+  }
+  return r;
+}
+
+TEST(Rdr, BatchedMatchesScalarReference) {
+  // Also on a non-default retry grid: a finer step, and an upper end that
+  // is not a whole number of steps from the lower one.
+  RdrOptions off_grid;
+  off_grid.retry_hi = 400.3;
+  off_grid.retry_step = 0.7;
+  for (const RdrOptions& o : {RdrOptions{}, off_grid}) {
+    auto batched = worn_chip(52, 25000);
+    auto scalar = worn_chip(52, 25000);
+    for (auto* chip : {&batched, &scalar}) {
+      chip->block(0).advance_time(1.0);
+      chip->block(0).apply_reads(31, 6e5);
+    }
+    expect_same_result(ReadDisturbRecovery(o).recover(batched.block(0), 30),
+                       scalar_recover(scalar.block(0), 30, o));
+  }
+}
+
+TEST(Rdr, BatchedPageErrorsMatchPerCellReference) {
+  // The retry re-read's LSB/MSB page error counts (learned references,
+  // branch-free classification, batched Gray-code compare) against the
+  // per-cell if-chain and lsb_of/msb_of.
+  auto chip = worn_chip(53, 25000);
+  auto& block = chip.block(0);
+  block.apply_reads(31, 8e5);
+  const std::vector<double> vth = block.present_vth_page(30);
+  const ReadRefs refs = VrefOptimizer().learn(block, vth);
+  ASSERT_TRUE(refs.va < refs.vb && refs.vb < refs.vc);
+  std::vector<std::uint8_t> sensed(vth.size());
+  flash::VthModel::classify_batch(vth.data(), vth.size(), refs.va, refs.vb,
+                                  refs.vc, sensed.data());
+  int lsb = 0, msb = 0;
+  for (std::uint32_t bl = 0; bl < vth.size(); ++bl) {
+    const double v = vth[bl];
+    const flash::CellState s = v < refs.va   ? flash::CellState::kEr
+                               : v < refs.vb ? flash::CellState::kP1
+                               : v < refs.vc ? flash::CellState::kP2
+                                             : flash::CellState::kP3;
+    const flash::CellState truth = block.cell_state(30, bl);
+    lsb += flash::lsb_of(s) != flash::lsb_of(truth);
+    msb += flash::msb_of(s) != flash::msb_of(truth);
+  }
+  const auto truth = block.wordline_states(30);
+  EXPECT_EQ(nand::page_bit_errors(nand::PageKind::kLsb, sensed, truth), lsb);
+  EXPECT_EQ(nand::page_bit_errors(nand::PageKind::kMsb, sensed, truth), msb);
+  EXPECT_EQ(VrefOptimizer::count_errors_with_refs(block, 30, refs),
+            lsb + msb);
+  EXPECT_GT(lsb + msb, 0);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // errors) and the read-reference optimizer (ROR-style).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/rfr.h"
 #include "core/vref_optimizer.h"
 #include "nand/chip.h"
@@ -114,6 +116,28 @@ TEST(VrefOpt, BeatsDefaultsOnAgedDisturbedBlock) {
   const int with_learned =
       VrefOptimizer::count_errors_with_refs(block, 30, learned);
   EXPECT_LT(with_learned, with_default / 2);
+}
+
+TEST(VrefOpt, LearnFromSharedSenseBitIdentical) {
+  // The servicer's ladder learns from the row it sensed once after the
+  // failed read; that must equal learn() taking its own retry sweep, with
+  // and without retention age, even after other const senses of the
+  // block in between (the re-read's error count).
+  for (const double days : {0.0, 21.0}) {
+    auto chip = aged_chip(14, 25000, days);
+    auto& block = chip.block(0);
+    block.apply_reads(31, 3e5);
+    const VrefOptimizer optimizer;
+    for (const std::uint32_t wl : {0u, 30u, 63u}) {
+      const std::vector<double> vth = block.present_vth_page(wl);
+      const ReadRefs own = optimizer.learn(block, wl);
+      VrefOptimizer::count_errors_with_refs(block, wl, own);
+      const ReadRefs shared = optimizer.learn(block, vth);
+      EXPECT_EQ(own.va, shared.va) << days << " " << wl;
+      EXPECT_EQ(own.vb, shared.vb) << days << " " << wl;
+      EXPECT_EQ(own.vc, shared.vc) << days << " " << wl;
+    }
+  }
 }
 
 TEST(VrefOpt, NearDefaultsOnFreshBlock) {

@@ -102,6 +102,50 @@ TEST_F(VthModelTest, ZeroDoseIsIdentity) {
   EXPECT_DOUBLE_EQ(model_.apply_disturb(123.0, 1.0, 0.0), 123.0);
 }
 
+TEST_F(VthModelTest, DisturbShiftBatchBitIdenticalToScalar) {
+  // RDR's dVref pass: every element must equal the scalar
+  // apply_disturb(v, 1, dose) - v, including at zero dose.
+  std::vector<double> v;
+  for (double x = -20.0; x <= 540.0; x += 0.37) v.push_back(x);
+  v.push_back(params_.vref_a);
+  std::vector<double> out(v.size());
+  for (const double dose : {0.0, 1.0, 3.3e4, 1e5, 2.5e6}) {
+    model_.disturb_shift_batch(v.data(), v.size(), dose, out.data());
+    for (std::size_t i = 0; i < v.size(); ++i)
+      EXPECT_EQ(out[i], model_.apply_disturb(v[i], 1.0, dose) - v[i])
+          << "dose=" << dose << " v=" << v[i];
+  }
+}
+
+TEST_F(VthModelTest, BatchedPageErrorsMatchPerCellGrayCode) {
+  // The branch-free bit extraction and the row error counters against the
+  // per-cell Gray code, over every state pair and an odd-length row.
+  for (const CellState s : kAllStates) {
+    const auto byte = static_cast<std::uint8_t>(s);
+    EXPECT_EQ(lsb_bit(byte), lsb_of(s));
+    EXPECT_EQ(msb_bit(byte), msb_of(s));
+  }
+  Rng rng(3);
+  std::vector<std::uint8_t> a(1001), b(1001);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::uint8_t>(rng.next() & 3);
+    b[i] = static_cast<std::uint8_t>(rng.next() & 3);
+  }
+  int lsb = 0, msb = 0, both = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto sa = static_cast<CellState>(a[i]);
+    const auto sb = static_cast<CellState>(b[i]);
+    lsb += lsb_of(sa) != lsb_of(sb);
+    msb += msb_of(sa) != msb_of(sb);
+    both += bit_errors_between(sa, sb);
+  }
+  EXPECT_EQ(lsb_errors(a.data(), b.data(), a.size()), lsb);
+  EXPECT_EQ(msb_errors(a.data(), b.data(), a.size()), msb);
+  EXPECT_EQ(bit_errors(a.data(), b.data(), a.size()), both);
+  EXPECT_GT(lsb, 0);
+  EXPECT_GT(msb, 0);
+}
+
 TEST_F(VthModelTest, DoseComposes) {
   // Applying dose D1 then D2 equals applying D1 + D2 in one shot. The
   // disturb law's exponential carries float precision (it is the value the
@@ -302,6 +346,29 @@ TEST_F(SenseKernelTest, ClassifyBatchMatchesScalarClassify) {
   for (std::size_t i = 0; i < vth.size(); ++i) {
     EXPECT_EQ(static_cast<CellState>(states[i]), model_.classify(vth[i]))
         << i;
+  }
+}
+
+TEST_F(SenseKernelTest, ClassifyBatchWithRefsMatchesIfChain) {
+  // The learned-reference read: counting crossed ordered references must
+  // equal the controller's if-chain, including reference-exact voltages.
+  std::vector<double> vth(cells_.size());
+  model_.present_vth_batch(view(), model_.sense_coeffs(2e5, 3.0, 8000),
+                           vth.data());
+  const double va = params_.vref_a - 7.5, vb = params_.vref_b + 3.0,
+               vc = params_.vref_c - 1.25;
+  vth[0] = va;
+  vth[1] = vb;
+  vth[2] = vc;
+  std::vector<std::uint8_t> states(vth.size());
+  VthModel::classify_batch(vth.data(), vth.size(), va, vb, vc, states.data());
+  for (std::size_t i = 0; i < vth.size(); ++i) {
+    const double v = vth[i];
+    const CellState want = v < va   ? CellState::kEr
+                           : v < vb ? CellState::kP1
+                           : v < vc ? CellState::kP2
+                                    : CellState::kP3;
+    EXPECT_EQ(static_cast<CellState>(states[i]), want) << i;
   }
 }
 
