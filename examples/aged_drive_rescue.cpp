@@ -10,8 +10,8 @@
 //     retention component; its bake costs extra retention).
 //
 // The symptom is demonstrated first through the queued host interface
-// (a one-chip host::ShardedDevice): a read command against the aged block comes back
-// with a raw error count far beyond what ECC provisions for — that is
+// (a one-chip host::Device): a read command against the aged block comes
+// back with a raw error count far beyond what ECC provisions for — that is
 // the moment a controller escalates to the offline rescue mechanisms,
 // which then operate on the block itself.
 //
@@ -31,7 +31,7 @@
 #include <memory>
 
 #include "host/chip_servicer.h"
-#include "host/sharded_device.h"
+#include "host/device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   // The host-visible symptom: a queued read of the victim page reports a
   // raw error count the drive's ECC cannot absorb.
   {
-    host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+    host::Device device(std::make_unique<host::ChipServicer>(
         nand::Geometry::characterization(), params, 2024,
         host::LatencyParams{}));
     auto& block = device.shard_chip(0).block(0);

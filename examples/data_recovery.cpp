@@ -1,6 +1,6 @@
 // data_recovery — end-to-end demonstration of Read Disturb Recovery with a
 // real BCH code in the loop, on a chip fronted by the queued host
-// interface (a one-chip host::ShardedDevice):
+// interface (a one-chip host::Device):
 //
 // 1. Encode a payload with BCH and program it into a wordline of a worn
 //    block (bit-for-bit, via the per-cell MLC data path).
@@ -22,14 +22,14 @@
 #include "core/rdr.h"
 #include "ecc/bch.h"
 #include "host/chip_servicer.h"
-#include "host/sharded_device.h"
+#include "host/device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
 
 int main() {
   const auto params = flash::FlashModelParams::default_2ynm();
-  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+  host::Device device(std::make_unique<host::ChipServicer>(
       nand::Geometry::characterization(), params, 5, host::LatencyParams{}));
   auto& block = device.shard_chip(0).block(0);
   block.erase();  // Replace the device's fill with our own payload below.

@@ -7,7 +7,7 @@
 // 4. Recover: push the block past ECC's limit and let RDR pull the errors
 //    back into correctable range.
 // 5. Drive the same Monte Carlo cells through the NVMe-style queued host
-//    interface (a one-chip host::ShardedDevice): typed commands in,
+//    interface (a one-chip host::Device): typed commands in,
 //    per-command completion records out.
 //
 // Build & run:  ./build/examples/quickstart
@@ -20,7 +20,7 @@
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
 #include "host/chip_servicer.h"
-#include "host/sharded_device.h"
+#include "host/device.h"
 #include "nand/chip.h"
 
 using namespace rdsim;
@@ -89,7 +89,7 @@ int main() {
   // --- 5. The queued host interface ----------------------------------------
   // The same physics, driven the way a host drives a drive: submit typed
   // commands into submission queues, poll completion records back.
-  host::ShardedDevice device(
+  host::Device device(
       std::make_unique<host::ChipServicer>(nand::Geometry::tiny(), params,
                                            /*seed=*/7, host::LatencyParams{}),
       /*queue_count=*/2);

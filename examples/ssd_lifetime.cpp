@@ -1,5 +1,5 @@
 // ssd_lifetime — replay a workload against the simulated SSD through the
-// NVMe-style queued host interface (a one-drive host::ShardedDevice) and
+// NVMe-style queued host interface (a one-drive host::Device) and
 // watch the drive's reliability state evolve under the daily maintenance
 // loop (refresh + Vpass Tuning); report host-observed latency percentiles
 // from the completion stream, then compare endurance with and without
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/endurance.h"
+#include "host/device.h"
 #include "host/driver.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   auto servicer = std::make_unique<host::SsdServicer>(config, params,
                                                       /*seed=*/11);
   const ssd::Ssd& ssd = servicer->ssd();
-  host::ShardedDevice drive(std::move(servicer), /*queue_count=*/4);
+  host::Device drive(std::move(servicer), /*queue_count=*/4);
 
   std::printf("drive: %u blocks x %u pages, %llu logical pages, %u queues, "
               "workload %s\n",

@@ -3,7 +3,7 @@
 // MEE, the remaining ECC margin, the step-search probes, and the chosen
 // pass-through voltage; then show the interval's peak RBER against the
 // unmitigated baseline, and finally replay the same pressure through the
-// queued host interface (a one-drive host::ShardedDevice) to see what
+// queued host interface (a one-drive host::Device) to see what
 // the mechanism's probe overhead does to host-observed read latency.
 //
 // Usage: ./build/examples/vpass_explorer [pe_cycles] [reads_per_interval]
@@ -17,8 +17,8 @@
 #include "core/vpass_tuning.h"
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
+#include "host/device.h"
 #include "host/driver.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     auto servicer = std::make_unique<host::SsdServicer>(config, params,
                                                         /*seed=*/3);
     const ssd::Ssd& ssd = servicer->ssd();
-    host::ShardedDevice drive(std::move(servicer), /*queue_count=*/2);
+    host::Device drive(std::move(servicer), /*queue_count=*/2);
     host::warm_fill(drive);
     auto profile = workload::profile_by_name("umass-web");
     profile.daily_page_ios = 30000;  // Scaled to the small drive.

@@ -29,7 +29,7 @@
 namespace rdsim::cfg {
 
 /// Which drive engine services the scenario's commands: a fidelity and a
-/// shard count (host::make_device builds every one as a ShardedDevice).
+/// shard count (host::make_device builds every one as a host::Device).
 enum class Backend {
   kAnalytic,          ///< One ssd::Ssd (FTL + closed-form RBER).
   kMcChip,            ///< One per-cell Monte Carlo chip.

@@ -2,7 +2,7 @@
 //
 // ChipServicer: the Monte-Carlo implementation of the host::Servicer
 // shard slot — the data-movement engine behind one nand::Chip, one per
-// shard of ShardedDevice (a single-chip drive is the one-shard case) —
+// shard of host::Device (a single-chip drive is the one-shard case) —
 // so the physics a queued read or write performs, and its cost
 // accounting, exists exactly once.
 //

@@ -112,7 +112,7 @@ struct Completion {
 std::string to_string(const Completion& completion);
 
 /// The deterministic completion-log order: (complete_time, submit id).
-/// ShardedDevice sorts its merged log with this, and ClosedLoopDriver's
+/// host::Device sorts its merged log with this, and ClosedLoopDriver's
 /// buffer relies on receiving records in exactly this order — keep the
 /// two on one definition.
 inline bool completion_log_order(const Completion& a, const Completion& b) {

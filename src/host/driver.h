@@ -18,7 +18,7 @@ namespace rdsim::host {
 /// Fills the device's whole logical space once (ascending lpn order) so
 /// every subsequent read hits mapped data, then discards the warm-up
 /// completions and statistics. Works for any backend: on a striped
-/// ShardedDevice the ascending-lpn pass round-robins the shards, so each
+/// device the ascending-lpn pass round-robins the shards, so each
 /// shard's chip is filled (and turned over) evenly. The fill still
 /// occupies the flash timeline(s) — start the workload clock at
 /// device.now_s() (or drive it closed-loop) so measured commands don't

@@ -5,7 +5,6 @@
 
 #include "flash/params.h"
 #include "host/chip_servicer.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 
@@ -66,8 +65,8 @@ void pre_wear(nand::Chip& chip, std::uint64_t pe) {
 
 }  // namespace
 
-std::unique_ptr<ShardedDevice> make_device(const cfg::DriveSpec& spec,
-                                           std::uint64_t seed, int workers) {
+std::unique_ptr<Device> make_device(const cfg::DriveSpec& spec,
+                                    std::uint64_t seed, int workers) {
   const flash::FlashModelParams params = flash_params_from_spec(spec);
   const bool mc = !spec.is_analytic();
   const bool sharded = spec.is_sharded();
@@ -79,7 +78,7 @@ std::unique_ptr<ShardedDevice> make_device(const cfg::DriveSpec& spec,
   shards.reserve(shard_n);
   for (std::uint32_t s = 0; s < shard_n; ++s) {
     const std::uint64_t shard_seed =
-        sharded ? ShardedDevice::shard_seed(seed, s) : seed;
+        sharded ? Device::shard_seed(seed, s) : seed;
     if (mc)
       shards.push_back(std::make_unique<ChipServicer>(
           chip_geometry(spec), params, shard_seed, LatencyParams{},
@@ -88,8 +87,8 @@ std::unique_ptr<ShardedDevice> make_device(const cfg::DriveSpec& spec,
       shards.push_back(std::make_unique<SsdServicer>(ssd_config_from_spec(spec),
                                                      params, shard_seed));
   }
-  auto device = std::make_unique<ShardedDevice>(std::move(shards), workers,
-                                                spec.queue_count);
+  auto device =
+      std::make_unique<Device>(std::move(shards), workers, spec.queue_count);
   if (mc && spec.pre_wear_pe > 0)
     for (std::uint32_t s = 0; s < device->shard_count(); ++s)
       pre_wear(device->shard_chip(s), spec.pre_wear_pe);

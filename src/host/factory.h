@@ -1,7 +1,7 @@
 // rdsim/host/factory.h
 //
 // host::make_device: the one place a cfg::DriveSpec becomes a live
-// host::ShardedDevice. Every backend comes out as a ShardedDevice; the four
+// host::Device. Every backend comes out as the same Device; the four
 // cfg::Backend names reduce to fidelity (SsdServicer for the analytic
 // drive, ChipServicer for the Monte Carlo chip) times shard count
 // (`analytic` and `mc_chip` are one shard, the sharded backends
@@ -10,7 +10,7 @@
 //
 // `seed` is the drive seed: a one-shard `analytic` / `mc_chip` drive
 // hands it to its servicer verbatim, while the sharded backends derive
-// shard s's seed as ShardedDevice::shard_seed(seed, s). `workers` sizes
+// shard s's seed as Device::shard_seed(seed, s). `workers` sizes
 // the service pool (capped at the shard count) and never affects
 // results. Monte Carlo pre-aging (spec.pre_wear_pe) is applied here, in
 // the characterization order fig_qos_mc established: per shard, per
@@ -22,14 +22,13 @@
 
 #include "cfg/spec.h"
 #include "flash/params.h"
-#include "host/sharded_device.h"
+#include "host/device.h"
 #include "ssd/ssd.h"
 
 namespace rdsim::host {
 
-std::unique_ptr<ShardedDevice> make_device(const cfg::DriveSpec& spec,
-                                           std::uint64_t seed,
-                                           int workers = 1);
+std::unique_ptr<Device> make_device(const cfg::DriveSpec& spec,
+                                    std::uint64_t seed, int workers = 1);
 
 /// The spec -> analytic-drive mappings make_device uses internally,
 /// exposed so layers that build ssd::Ssd drives directly (the fleet

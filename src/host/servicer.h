@@ -1,6 +1,6 @@
 // rdsim/host/servicer.h
 //
-// Servicer: the backend slot of host::ShardedDevice, rdsim's one device
+// Servicer: the backend slot of host::Device, rdsim's one device
 // engine. One Servicer is one shard's drive engine — it performs the
 // data movement of commands whose lpn ranges are local to the shard and
 // reports each command's ServiceCost; the device owns scheduling (one
@@ -37,7 +37,7 @@ class Chip;
 namespace rdsim::host {
 
 /// Per-step attribution of the read error path and the write failure
-/// path, kept by each backend and mirrored per shard by ShardedDevice.
+/// path, kept by each backend and mirrored per shard by host::Device.
 /// Read counters partition the serviced page reads by how far down the
 /// escalation ladder each one had to go; the seconds fields are the flash
 /// busy time the recovery steps charged to the timeline (so recovery cost

@@ -2,7 +2,7 @@
 //
 // SsdServicer: the analytic implementation of the host::Servicer shard
 // slot — one ssd::Ssd (FTL + closed-form RBER + the paper's maintenance
-// loop) behind the shard interface, so host::ShardedDevice stripes the
+// loop) behind the shard interface, so host::Device stripes the
 // logical page space RAID-0 over N independent analytic drives exactly
 // as it stripes over N Monte Carlo chips. Each shard runs its own FTL,
 // garbage collection, refresh, and Vpass tuning over its slice of the

@@ -8,7 +8,7 @@
 // turnover) reserves windows whose overlap with a later command's queue
 // wait is attributed as that command's stall.
 //
-// ShardedDevice owns one FlashTimeline per shard (exactly one for a
+// host::Device owns one FlashTimeline per shard (exactly one for a
 // single drive or chip), so N chips schedule independently. Everything here
 // is simulated-clock arithmetic — no wall clock, no RNG — which is what
 // makes a completion schedule a pure function of the submission stream

@@ -15,9 +15,9 @@
 
 #include "cfg/spec.h"
 #include "ftl/ftl.h"
+#include "host/device.h"
 #include "host/driver.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "sim/experiments.h"
 #include "ssd/ssd.h"
@@ -90,7 +90,7 @@ Table run_fig_reliability(ExperimentContext& ctx) {
         drive.faults.die_kill_day = fc.die_kill_day;
       }
       const auto device_ptr = host::make_device(drive, drive_seed, workers);
-      host::ShardedDevice& device = *device_ptr;
+      host::Device& device = *device_ptr;
 
       workload::TraceGenerator gen(profile, device.logical_pages(),
                                    trace_seed, device.queue_count());
@@ -187,7 +187,7 @@ Table run_fig_reliability(ExperimentContext& ctx) {
       drive.faults.program_fail_prob = p;
       drive.faults.erase_fail_prob = p;
       const auto device_ptr = host::make_device(drive, drive_seed, workers);
-      host::ShardedDevice& device = *device_ptr;
+      host::Device& device = *device_ptr;
       const ssd::Ssd& ssd =
           static_cast<host::SsdServicer&>(device.shard_servicer(0)).ssd();
 

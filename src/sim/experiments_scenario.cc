@@ -16,9 +16,9 @@
 #include "cfg/config.h"
 #include "cfg/profiles.h"
 #include "cfg/spec.h"
+#include "host/device.h"
 #include "host/driver.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "replay/latency.h"
 #include "replay/replayer.h"
 #include "sim/experiments.h"
@@ -261,7 +261,7 @@ Table run_scenario(ExperimentContext& ctx) {
   }
 
   if (sharded) {
-    const auto& dev = static_cast<const host::ShardedDevice&>(*device);
+    const host::Device& dev = *device;
     table.new_section();
     table.comment(
         "Per-shard attribution (pages serviced and stall seconds booked "

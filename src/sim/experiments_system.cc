@@ -15,9 +15,9 @@
 #include "dram/rowhammer.h"
 #include "ecc/ecc_model.h"
 #include "flash/rber_model.h"
+#include "host/device.h"
 #include "host/driver.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "sim/experiments.h"
@@ -60,7 +60,7 @@ Table run_fig08(ExperimentContext& ctx) {
         auto servicer =
             std::make_unique<host::SsdServicer>(config, params, drive_seed);
         const ssd::Ssd& ssd = servicer->ssd();
-        host::ShardedDevice drive(std::move(servicer));
+        host::Device drive(std::move(servicer));
 
         workload::TraceGenerator gen(profile, drive.logical_pages(),
                                      trace_seed);
@@ -223,7 +223,7 @@ Table run_fig_qos(ExperimentContext& ctx) {
 
 Table run_fig_qos_mc(ExperimentContext& ctx) {
   // Drive-scale QoS on the per-cell Monte Carlo backend: a
-  // host::ShardedDevice stripes the logical space over four pre-aged
+  // host::Device stripes the logical space over four pre-aged
   // chips (one flash timeline each) and a closed-loop host sweeps the
   // queue depth over the same command stream. Unlike fig_qos (analytic
   // RBER, FTL maintenance), every read here senses real cells, so the
@@ -270,7 +270,7 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
     drive.pre_wear_pe = kPreWearPe;
     drive.queue_count = 4;
     const auto device_ptr = host::make_device(drive, drive_seed, workers);
-    host::ShardedDevice& device = *device_ptr;
+    host::Device& device = *device_ptr;
 
     workload::TraceGenerator gen(profile, device.logical_pages(),
                                  trace_seed, device.queue_count());

@@ -2,7 +2,7 @@
 //
 // Thread-pooled, deterministic experiment execution. The pool machinery
 // itself lives in common/thread_pool.h (it is shared with the host
-// layer's ShardedDevice); ExperimentRunner is the experiment layer's name
+// layer's host::Device); ExperimentRunner is the experiment layer's name
 // for it. Determinism contract: each shard i must depend only on its
 // index (experiments seed shard randomness with Rng::stream(seed, i)),
 // and map() returns results in index order — so the merged output of a

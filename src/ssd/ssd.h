@@ -9,7 +9,7 @@
 // The Ssd consumes host::Commands (read / write / trim; flush is a pure
 // queue barrier handled by the host::Device facade) and reports the cost
 // of each: flash busy seconds plus any inline-GC stall a write absorbed.
-// It is driven as a host::SsdServicer shard of host::ShardedDevice,
+// It is driven as a host::SsdServicer shard of host::Device,
 // which adds the NVMe-style submission/completion queue model on top.
 //
 // Error rates come from the analytic flash::RberModel; a per-cell Monte

@@ -14,7 +14,8 @@
 //      untagged FIFO log byte-for-byte;
 //   6. fig_qos_tenants is byte-identical at --threads 1 and 8;
 //   7. CompletionStats quantile edge cases: empty and single-sample
-//      histograms, global and per-tenant.
+//      histograms, global and per-tenant;
+//   8. the policy can only change while nothing is queued.
 #include "host/arbitration.h"
 
 #include <gtest/gtest.h>
@@ -22,14 +23,15 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analytic_drive.h"
 #include "cfg/spec.h"
+#include "host/device.h"
 #include "host/driver.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "host/stats.h"
 #include "sim/experiment.h"
 #include "workload/generator.h"
@@ -204,7 +206,7 @@ TEST(Arbitration, ConservationOnOneShardDevice) {
   check_conservation(*device);
 }
 
-TEST(Arbitration, ConservationOnShardedDevice) {
+TEST(Arbitration, ConservationOnShardedDrive) {
   auto device = sharded_analytic_device(/*seed=*/13, /*workers=*/4);
   check_conservation(*device);
 }
@@ -516,6 +518,25 @@ TEST(CompletionStatsEdge, SingleSampleQuantilesHitTheBinEdge) {
   EXPECT_EQ(stats.tenant_commands(0, CommandKind::kWrite), 1u);
   EXPECT_EQ(stats.tenant_read_latency_quantile_s(0, 0.999), 0.0);
   EXPECT_EQ(stats.tenant_mean_read_latency_s(0), 0.0);
+}
+
+// --- 8. Policy changes ---------------------------------------------------
+
+TEST(Arbitration, PolicyChangeRejectedWhileCommandsAreQueued) {
+  // Keys assigned under one policy are incomparable with the next one's,
+  // so a switch is only accepted on a quiet device.
+  auto device = small_ssd_device(/*seed=*/29);
+  const ArbitrationConfig weighted =
+      make_arb(ArbitrationPolicy::kWeighted, {{3.0, 1000.0}, {1.0, 1000.0}});
+  for (const Command& c : burst(0, 2, device->logical_pages()))
+    device->submit(c);
+  EXPECT_THROW(device->set_arbitration(weighted), std::logic_error);
+  EXPECT_EQ(device->arbitration().policy, ArbitrationPolicy::kFifo);
+
+  std::vector<Completion> done;
+  ASSERT_EQ(device->drain(&done), 2u);
+  device->set_arbitration(weighted);
+  EXPECT_EQ(device->arbitration().policy, ArbitrationPolicy::kWeighted);
 }
 
 }  // namespace

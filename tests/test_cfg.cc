@@ -6,7 +6,7 @@
 //      duplicate key, infeasible FTL, unreadable file);
 //   3. a valid config maps onto the typed specs field-for-field;
 //   4. host::make_device(spec) is bit-identical to a hand-built
-//      ShardedDevice for every backend — the one-shard backends hand the
+//      host::Device for every backend — the one-shard backends hand the
 //      drive seed to their servicer verbatim (same stream, same seed =>
 //      byte-identical completion logs);
 //   5. every built-in profile produces a constructible device.
@@ -21,8 +21,8 @@
 #include "cfg/profiles.h"
 #include "cfg/spec.h"
 #include "host/chip_servicer.h"
+#include "host/device.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
@@ -451,7 +451,7 @@ TEST(Factory, AnalyticSpecIsAOneShardDriveWithTheDriveSeed) {
   config.ftl.overprovision = 0.2;
   config.ftl.gc_free_target = 4;
   config.ftl.read_reclaim_threshold = 120;
-  host::ShardedDevice hand(
+  host::Device hand(
       std::make_unique<host::SsdServicer>(
           config, flash::FlashModelParams::default_2ynm(), /*seed=*/23),
       /*queue_count=*/4);
@@ -471,7 +471,7 @@ TEST(Factory, McChipSpecIsAOneShardDriveWithTheDriveSeed) {
   spec.blocks = geometry.blocks;
   spec.queue_count = 2;
 
-  host::ShardedDevice hand(
+  host::Device hand(
       std::make_unique<host::ChipServicer>(
           geometry, flash::FlashModelParams::default_2ynm(), /*seed=*/5,
           host::LatencyParams{}),
@@ -481,7 +481,7 @@ TEST(Factory, McChipSpecIsAOneShardDriveWithTheDriveSeed) {
   EXPECT_EQ(replay_log(*made, stream), replay_log(hand, stream));
 }
 
-TEST(Factory, ShardedMcSpecMatchesHandBuiltPreWornShardedDevice) {
+TEST(Factory, ShardedMcSpecMatchesHandBuiltPreWornDevice) {
   const nand::Geometry geometry = nand::Geometry::tiny();
   DriveSpec spec;
   spec.backend = Backend::kShardedMc;
@@ -492,9 +492,12 @@ TEST(Factory, ShardedMcSpecMatchesHandBuiltPreWornShardedDevice) {
   spec.pre_wear_pe = 8000;
   spec.queue_count = 4;
 
-  host::ShardedDevice hand(geometry, flash::FlashModelParams::default_2ynm(),
-                           /*seed=*/19, /*shards=*/4, /*workers=*/2,
-                           /*queue_count=*/4);
+  std::vector<std::unique_ptr<host::Servicer>> chips;
+  for (std::uint32_t s = 0; s < 4; ++s)
+    chips.push_back(std::make_unique<host::ChipServicer>(
+        geometry, flash::FlashModelParams::default_2ynm(),
+        host::Device::shard_seed(19, s), host::LatencyParams{}));
+  host::Device hand(std::move(chips), /*workers=*/2, /*queue_count=*/4);
   for (std::uint32_t s = 0; s < hand.shard_count(); ++s) {
     nand::Chip& chip = hand.shard_chip(s);
     for (std::size_t b = 0; b < chip.block_count(); ++b) {
@@ -527,9 +530,8 @@ TEST(Factory, ShardedAnalyticSpecMatchesHandBuiltServicers) {
   std::vector<std::unique_ptr<host::Servicer>> servicers;
   for (std::uint32_t s = 0; s < 3; ++s)
     servicers.push_back(std::make_unique<host::SsdServicer>(
-        config, params, host::ShardedDevice::shard_seed(29, s)));
-  host::ShardedDevice hand(std::move(servicers), /*workers=*/2,
-                           /*queue_count=*/4);
+        config, params, host::Device::shard_seed(29, s)));
+  host::Device hand(std::move(servicers), /*workers=*/2, /*queue_count=*/4);
 
   const auto made = host::make_device(spec, /*seed=*/29, /*workers=*/2);
   const auto stream = mixed_stream(hand.logical_pages(), 4, 41);

@@ -13,8 +13,8 @@
 #include "flash/params.h"
 #include "ftl/ftl.h"
 #include "host/chip_servicer.h"
+#include "host/device.h"
 #include "host/factory.h"
-#include "host/sharded_device.h"
 #include "host/ssd_servicer.h"
 #include "ssd/ssd.h"
 
@@ -164,7 +164,7 @@ TEST(DeviceFaults, LatentPageFailsWholeLadderWithRecoveryLatency) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.latent_page_prob = 1.0;
-  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+  host::Device device(std::make_unique<host::ChipServicer>(
       geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
       faults));
 
@@ -193,7 +193,7 @@ TEST(DeviceFaults, DieKillFlipsChipAtItsDay) {
   const auto params = flash::FlashModelParams::default_2ynm();
   host::ChipFaults faults;
   faults.die_kill_day = 1.0;
-  host::ShardedDevice device(std::make_unique<host::ChipServicer>(
+  host::Device device(std::make_unique<host::ChipServicer>(
       geometry, params, 3, host::LatencyParams{}, host::ChipErrorPath{},
       faults));
 
@@ -229,7 +229,7 @@ TEST(DeviceFaults, DieKillTargetsOnlyTheConfiguredShard) {
   drive.faults.die_kill_shard = 1;
   drive.faults.die_kill_day = 1.0;
   const auto device_ptr = host::make_device(drive, 9, 2);
-  host::ShardedDevice& device = *device_ptr;
+  host::Device& device = *device_ptr;
   device.end_of_day();
 
   // Even lpns live on shard 0 (alive), odd on shard 1 (dead).

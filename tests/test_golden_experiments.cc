@@ -70,7 +70,7 @@ struct GoldenEntry {
 // a single flash timeline cannot produce).
 // PR 6 added scenario (the config-driven replay, pinned on its default
 // paper-mlc profile) and kept every existing hash unchanged: the
-// Servicer generalization of ShardedDevice and the make_device port of
+// Servicer generalization of the sharded device and the make_device port of
 // fig_qos/fig_qos_mc bring-up are both bit-transparent (one de-striped
 // sub-command per shard reproduces the old per-page accumulation chains
 // exactly).

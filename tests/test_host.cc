@@ -13,7 +13,6 @@
 
 #include "analytic_drive.h"
 #include "host/chip_servicer.h"
-#include "host/sharded_device.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -24,8 +23,8 @@ namespace {
 using test::AnalyticDrive;
 
 /// A single Monte Carlo chip behind the queued interface.
-ShardedDevice chip_drive(const nand::Geometry& geometry, std::uint64_t seed) {
-  return ShardedDevice(std::make_unique<ChipServicer>(
+Device chip_drive(const nand::Geometry& geometry, std::uint64_t seed) {
+  return Device(std::make_unique<ChipServicer>(
       geometry, flash::FlashModelParams::default_2ynm(), seed,
       LatencyParams{}));
 }
@@ -235,7 +234,7 @@ TEST(CompletionStats, LatencyBeyondHistogramClampsToCeiling) {
 TEST(ChipDrive, QueuedReadsObserveDisturbErrors) {
   // Reads through the queued interface sense real cells: on a worn chip,
   // hammering pages raises the observed raw bit error count.
-  ShardedDevice device = chip_drive(nand::Geometry::tiny(), 3);
+  Device device = chip_drive(nand::Geometry::tiny(), 3);
   nand::Chip& chip = device.shard_chip(0);
   for (std::size_t b = 0; b < chip.block_count(); ++b) {
     chip.block(b).erase();
@@ -260,7 +259,7 @@ TEST(ChipDrive, QueuedReadsObserveDisturbErrors) {
 
 TEST(ChipDrive, WritesTurnOverBlocksAndClearDisturb) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  ShardedDevice device = chip_drive(geometry, 4);
+  Device device = chip_drive(geometry, 4);
   nand::Chip& chip = device.shard_chip(0);
   chip.block(0).apply_reads(1, 5e5);
   const double dose_before = chip.block(0).dose();
@@ -280,7 +279,7 @@ TEST(ChipDrive, WritesTurnOverBlocksAndClearDisturb) {
 
 TEST(ChipDrive, LogicalSpaceCoversWholeChip) {
   const nand::Geometry geometry = nand::Geometry::tiny();
-  ShardedDevice device = chip_drive(geometry, 5);
+  Device device = chip_drive(geometry, 5);
   EXPECT_EQ(device.logical_pages(),
             static_cast<std::uint64_t>(geometry.blocks) *
                 geometry.pages_per_block());

@@ -1,4 +1,4 @@
-// Tests for the sharded *analytic* drive: host::ShardedDevice with
+// Tests for the sharded *analytic* drive: host::Device with
 // SsdServicer shards — the Servicer generalization that gives the
 // analytic ssd::Ssd the same RAID-0 N-way scaling as the Monte Carlo
 // chips. Mirrors tests/test_sharded_device.cc:
@@ -6,7 +6,7 @@
 //   2. the log is byte-identical across poll cadences;
 //   3. the per-shard stall ledger sums to the device total;
 //   4. striping spreads host pages evenly across the shard FTLs.
-#include "host/sharded_device.h"
+#include "host/device.h"
 
 #include <gtest/gtest.h>
 
@@ -34,17 +34,16 @@ ssd::SsdConfig shard_config() {
   return config;
 }
 
-std::unique_ptr<ShardedDevice> make_sharded_analytic(std::uint64_t seed,
-                                                     std::uint32_t shards,
-                                                     int workers,
-                                                     std::uint32_t queues) {
+std::unique_ptr<Device> make_sharded_analytic(std::uint64_t seed,
+                                              std::uint32_t shards,
+                                              int workers,
+                                              std::uint32_t queues) {
   const auto params = flash::FlashModelParams::default_2ynm();
   std::vector<std::unique_ptr<Servicer>> servicers;
   for (std::uint32_t s = 0; s < shards; ++s)
     servicers.push_back(std::make_unique<SsdServicer>(
-        shard_config(), params, ShardedDevice::shard_seed(seed, s)));
-  return std::make_unique<ShardedDevice>(std::move(servicers), workers,
-                                         queues);
+        shard_config(), params, Device::shard_seed(seed, s)));
+  return std::make_unique<Device>(std::move(servicers), workers, queues);
 }
 
 /// A mixed command stream with every kind, trims, and flushes.

@@ -1,4 +1,4 @@
-// Tests for host::ShardedDevice — the N-chip striped Monte Carlo drive.
+// Tests for host::Device as an N-chip striped Monte Carlo drive.
 // The headline contracts, in the order the architecture doc states them
 // (docs/ARCHITECTURE.md "Sharding and merge determinism"):
 //   1. the merged completion log is byte-identical for any worker count;
@@ -6,21 +6,38 @@
 //      records whose position is not final; drain delivers everything);
 //   3. the per-shard stall ledger sums to the device total;
 //   4. flush is a cross-shard barrier;
-//   5. striping is a pure function of the lpn and covers every chip.
-#include "host/sharded_device.h"
+//   5. striping is a pure function of the lpn and covers every chip;
+//   6. a shard set that cannot be striped is rejected.
+#include "host/device.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "host/chip_servicer.h"
 #include "host/driver.h"
+#include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 
 namespace rdsim::host {
 namespace {
+
+/// `shards` Monte Carlo chips of `geometry`, chip s seeded with
+/// Device::shard_seed(seed, s) — the shards of a sharded mc drive.
+std::vector<std::unique_ptr<Servicer>> mc_shards(
+    const nand::Geometry& geometry, const flash::FlashModelParams& params,
+    std::uint64_t seed, std::uint32_t shards) {
+  std::vector<std::unique_ptr<Servicer>> out;
+  for (std::uint32_t s = 0; s < shards; ++s)
+    out.push_back(std::make_unique<ChipServicer>(
+        geometry, params, Device::shard_seed(seed, s), LatencyParams{}));
+  return out;
+}
 
 /// A mixed command stream with every kind, trims, and flushes.
 std::vector<Command> mixed_stream(std::uint64_t logical, std::uint16_t queues,
@@ -54,7 +71,7 @@ std::string replay_log(MakeDevice&& make,
   return log_of(got);
 }
 
-TEST(ShardedDevice, MergedLogIdenticalForAnyWorkerCount) {
+TEST(ShardedChips, MergedLogIdenticalForAnyWorkerCount) {
   // The tentpole contract: worker threads decide only where a shard's
   // work runs, never what the schedule is — the merged log is
   // byte-identical at 1, 4, and 8 workers.
@@ -64,9 +81,9 @@ TEST(ShardedDevice, MergedLogIdenticalForAnyWorkerCount) {
   std::vector<Command> stream;
   for (const int workers : {1, 4, 8}) {
     auto make = [&] {
-      return std::make_unique<ShardedDevice>(geometry, params, /*seed=*/7,
-                                             /*shards=*/4, workers,
-                                             /*queue_count=*/4);
+      return std::make_unique<Device>(
+          mc_shards(geometry, params, /*seed=*/7, /*shards=*/4), workers,
+          /*queue_count=*/4);
     };
     if (stream.empty())
       stream = mixed_stream(make()->logical_pages(), 4, /*seed=*/21);
@@ -81,7 +98,7 @@ TEST(ShardedDevice, MergedLogIdenticalForAnyWorkerCount) {
             stream.size());
 }
 
-TEST(ShardedDevice, MergedLogIdenticalAtAnyPollCadence) {
+TEST(ShardedChips, MergedLogIdenticalAtAnyPollCadence) {
   // Same contract as test_host.cc's, made non-trivial by the N
   // independent timelines: poll() withholds records that a future
   // submission could still displace in the (complete_time, id) order, so
@@ -91,8 +108,8 @@ TEST(ShardedDevice, MergedLogIdenticalAtAnyPollCadence) {
   std::vector<Command> stream;
   std::vector<std::string> logs;
   for (const int cadence : {0, 1, 7}) {
-    ShardedDevice device(geometry, params, /*seed=*/7, /*shards=*/4,
-                         /*workers=*/2, /*queue_count=*/4);
+    Device device(mc_shards(geometry, params, /*seed=*/7, /*shards=*/4),
+                  /*workers=*/2, /*queue_count=*/4);
     if (stream.empty())
       stream = mixed_stream(device.logical_pages(), 4, /*seed=*/21);
     std::vector<Completion> got;
@@ -111,13 +128,13 @@ TEST(ShardedDevice, MergedLogIdenticalAtAnyPollCadence) {
   EXPECT_EQ(logs[0], logs[2]);
 }
 
-TEST(ShardedDevice, PollWithholdsOnlyUnstableRecords) {
+TEST(ShardedChips, PollWithholdsOnlyUnstableRecords) {
   // Delivered poll order must already be final: collect everything a
   // dense poll cadence delivers and check it is a prefix-consistent
   // (complete_time, id)-sorted sequence at every step.
   const auto params = flash::FlashModelParams::default_2ynm();
-  ShardedDevice device(nand::Geometry::tiny(), params, 3, /*shards=*/2,
-                       /*workers=*/1);
+  Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/2),
+                /*workers=*/1);
   const auto stream = mixed_stream(device.logical_pages(), 1, 5);
   std::vector<Completion> got;
   for (const auto& c : stream) {
@@ -135,10 +152,10 @@ TEST(ShardedDevice, PollWithholdsOnlyUnstableRecords) {
   }
 }
 
-TEST(ShardedDevice, PerShardStallLedgerSumsToDeviceTotal) {
+TEST(ShardedChips, PerShardStallLedgerSumsToDeviceTotal) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  ShardedDevice device(nand::Geometry::tiny(), params, 3, /*shards=*/4,
-                       /*workers=*/2, /*queue_count=*/4);
+  Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/4),
+                /*workers=*/2, /*queue_count=*/4);
   const auto stream = mixed_stream(device.logical_pages(), 4, 17);
   for (const auto& c : stream) device.submit(c);
   const double total = device.stats().stall_seconds();
@@ -150,10 +167,10 @@ TEST(ShardedDevice, PerShardStallLedgerSumsToDeviceTotal) {
   EXPECT_NEAR(ledger, total, 1e-9 * std::max(1.0, total));
 }
 
-TEST(ShardedDevice, StripingIsRoundRobinAndCoversEveryChip) {
+TEST(ShardedChips, StripingIsRoundRobinAndCoversEveryChip) {
   const auto params = flash::FlashModelParams::default_2ynm();
   const nand::Geometry geometry = nand::Geometry::tiny();
-  ShardedDevice device(geometry, params, 5, /*shards=*/4, /*workers=*/1);
+  Device device(mc_shards(geometry, params, 5, /*shards=*/4), /*workers=*/1);
   EXPECT_EQ(device.logical_pages(),
             4ull * geometry.blocks * geometry.pages_per_block());
   for (std::uint64_t lpn = 0; lpn < 64; ++lpn) {
@@ -184,10 +201,10 @@ TEST(ShardedDevice, StripingIsRoundRobinAndCoversEveryChip) {
     EXPECT_EQ(device.shard_pages_read(s), device.logical_pages() / 4);
 }
 
-TEST(ShardedDevice, FlushIsACrossShardBarrier) {
+TEST(ShardedChips, FlushIsACrossShardBarrier) {
   const auto params = flash::FlashModelParams::default_2ynm();
-  ShardedDevice device(nand::Geometry::tiny(), params, 1, /*shards=*/2,
-                       /*workers=*/1);
+  Device device(mc_shards(nand::Geometry::tiny(), params, 1, /*shards=*/2),
+                /*workers=*/1);
   // A fat write occupies shard 0 (even lpns); shard 1 stays idle.
   Command write;
   write.kind = CommandKind::kWrite;
@@ -222,12 +239,12 @@ TEST(ShardedDevice, FlushIsACrossShardBarrier) {
   EXPECT_GE(r->service_start_s, f->complete_time_s);
 }
 
-TEST(ShardedDevice, QueuedReadsObserveDisturbOnTheHammeredShardOnly) {
+TEST(ShardedChips, QueuedReadsObserveDisturbOnTheHammeredShardOnly) {
   // Disturb a single shard's chip; the error uptick must appear in that
   // shard's ledger and nowhere else.
   const auto params = flash::FlashModelParams::default_2ynm();
-  ShardedDevice device(nand::Geometry::tiny(), params, 3, /*shards=*/2,
-                       /*workers=*/1);
+  Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/2),
+                /*workers=*/1);
   for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
     nand::Chip& chip = device.shard_chip(s);
     for (std::size_t b = 0; b < chip.block_count(); ++b) {
@@ -256,15 +273,15 @@ TEST(ShardedDevice, QueuedReadsObserveDisturbOnTheHammeredShardOnly) {
   EXPECT_GT(device.shard_read_bit_errors(1), fresh1 + 10);
 }
 
-TEST(ShardedDevice, ClosedLoopDriverReplaysAtDepth) {
+TEST(ShardedChips, ClosedLoopDriverReplaysAtDepth) {
   // The reworked driver must keep a sharded device busy at depth > 1 and
   // leave nothing in flight afterwards; deeper queues finish no later
   // ... and the replay is deterministic across worker counts.
   const auto params = flash::FlashModelParams::default_2ynm();
   std::vector<Command> stream;
   auto replay = [&](int workers, int depth) {
-    ShardedDevice device(nand::Geometry::tiny(), params, 3, /*shards=*/4,
-                         workers, /*queue_count=*/4);
+    Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/4),
+                  workers, /*queue_count=*/4);
     if (stream.empty())
       stream = mixed_stream(device.logical_pages(), 4, 33);
     ClosedLoopDriver driver(device, depth);
@@ -276,6 +293,38 @@ TEST(ShardedDevice, ClosedLoopDriverReplaysAtDepth) {
   const double qd8 = replay(1, 8);
   EXPECT_GT(qd8, qd1);  // Parallel chips: depth raises throughput.
   EXPECT_DOUBLE_EQ(replay(4, 8), qd8);
+}
+
+TEST(ShardedChips, RejectsAnEmptyOrNullShard) {
+  EXPECT_THROW(Device(std::vector<std::unique_ptr<Servicer>>{}),
+               std::invalid_argument);
+  EXPECT_THROW(Device(std::unique_ptr<Servicer>{}), std::invalid_argument);
+}
+
+TEST(ShardedChips, RejectsShardsWithDifferentPageCounts) {
+  // Striping gives every shard the same local range, so the upper half of
+  // a shard twice the size of shard 0 could never be addressed.
+  const auto params = flash::FlashModelParams::default_2ynm();
+  auto ssd_shard = [&](std::uint32_t blocks) {
+    ssd::SsdConfig config;
+    config.ftl.blocks = blocks;
+    config.ftl.pages_per_block = 32;
+    config.ftl.overprovision = 0.2;
+    config.ftl.gc_free_target = 4;
+    config.vpass_tuning = false;
+    return std::make_unique<SsdServicer>(config, params, 1);
+  };
+  std::vector<std::unique_ptr<Servicer>> shards;
+  shards.push_back(ssd_shard(64));
+  shards.push_back(ssd_shard(128));
+  ASSERT_NE(shards[0]->logical_pages(), shards[1]->logical_pages());
+  try {
+    Device device(std::move(shards), /*workers=*/1);
+    ADD_FAILURE() << "mismatched shards were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shard 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
