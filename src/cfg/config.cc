@@ -1,24 +1,13 @@
 #include "cfg/config.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "common/text.h"
 
 namespace rdsim::cfg {
-
-namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-}  // namespace
 
 std::string format_diagnostics(const std::vector<Diagnostic>& diags) {
   std::ostringstream out;
@@ -30,20 +19,19 @@ std::string format_diagnostics(const std::vector<Diagnostic>& diags) {
   return out.str();
 }
 
-Config Config::parse(const std::string& text,
+Config Config::parse(const std::string& source,
                      std::vector<Diagnostic>* diags) {
   Config config;
-  std::istringstream in(text);
-  std::string raw;
   std::string section;
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < source.size();) {
+    const std::size_t nl = std::min(source.find('\n', pos), source.size());
+    std::string_view line(source.data() + pos, nl - pos);
+    pos = nl + 1;
     ++line_no;
     // Comments run to end of line, whether the line starts with one or a
     // key-value pair precedes it; no value in the schema contains # or ;.
-    const std::size_t comment = raw.find_first_of("#;");
-    if (comment != std::string::npos) raw.resize(comment);
-    const std::string line = trim(raw);
+    line = text::trim(line.substr(0, line.find_first_of("#;")));
     if (line.empty()) continue;
 
     if (line.front() == '[') {
@@ -51,24 +39,25 @@ Config Config::parse(const std::string& text,
         diags->push_back({line_no, "", "malformed section header"});
         continue;
       }
-      section = trim(line.substr(1, line.size() - 2));
+      section = text::trim(line.substr(1, line.size() - 2));
       continue;
     }
 
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       diags->push_back(
           {line_no, "", "expected 'key = value' or '[section]'"});
       continue;
     }
-    const std::string name = trim(line.substr(0, eq));
+    const std::string_view name = text::trim(line.substr(0, eq));
     if (name.empty()) {
       diags->push_back({line_no, "", "empty key before '='"});
       continue;
     }
     Entry entry;
-    entry.key = section.empty() ? name : section + "." + name;
-    entry.value = trim(line.substr(eq + 1));
+    entry.key = section.empty() ? std::string(name)
+                                : section + "." + std::string(name);
+    entry.value = text::trim(line.substr(eq + 1));
     entry.line = line_no;
     for (const Entry& prev : config.entries_) {
       if (prev.key == entry.key) {
@@ -125,31 +114,25 @@ std::uint64_t Config::get_u64(const std::string& key, std::uint64_t fallback,
                               std::vector<Diagnostic>* diags) {
   Entry* e = find(key);
   if (e == nullptr) return fallback;
-  const char* s = e->value.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (e->value.empty() || *end != '\0' || errno == ERANGE ||
-      e->value.front() == '-') {
+  std::uint64_t v = 0;
+  if (!text::parse_u64(e->value, &v)) {
     diags->push_back({e->line, key,
-                      "expected a non-negative integer, got '" + e->value +
-                          "'"});
+                      "expected a non-negative decimal integer, got '" +
+                          e->value + "'"});
     return fallback;
   }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 double Config::get_double(const std::string& key, double fallback,
                           std::vector<Diagnostic>* diags) {
   Entry* e = find(key);
   if (e == nullptr) return fallback;
-  const char* s = e->value.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (e->value.empty() || *end != '\0' || errno == ERANGE) {
-    diags->push_back(
-        {e->line, key, "expected a number, got '" + e->value + "'"});
+  double v = 0.0;
+  if (!text::parse_f64(e->value, &v)) {
+    diags->push_back({e->line, key,
+                      "expected a finite decimal number, got '" + e->value +
+                          "'"});
     return fallback;
   }
   return v;

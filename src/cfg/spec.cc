@@ -2,6 +2,9 @@
 
 #include <limits>
 #include <sstream>
+#include <string_view>
+
+#include "common/text.h"
 
 namespace rdsim::cfg {
 
@@ -287,31 +290,6 @@ void parse_fleet(Config& config, ScenarioSpec* spec,
   }
 }
 
-/// Splits a comma-separated config value into trimmed tokens ("a, b,c"
-/// -> {"a", "b", "c"}). A single empty value yields one empty token, which
-/// the per-token parsers then diagnose.
-std::vector<std::string> split_csv(const std::string& value) {
-  std::vector<std::string> out;
-  std::string token;
-  const auto flush_token = [&] {
-    const std::size_t b = token.find_first_not_of(" \t");
-    const std::size_t e = token.find_last_not_of(" \t");
-    out.push_back(b == std::string::npos
-                      ? std::string()
-                      : token.substr(b, e - b + 1));
-    token.clear();
-  };
-  for (const char c : value) {
-    if (c == ',') {
-      flush_token();
-    } else {
-      token += c;
-    }
-  }
-  flush_token();
-  return out;
-}
-
 /// Consumes `key` as a comma-separated list of exactly `expect` doubles,
 /// each within [lo, hi]; diagnoses (against the key) and returns false on
 /// any violation. `out` holds the parsed values on success.
@@ -319,29 +297,22 @@ bool get_double_list(Config& config, const std::string& key,
                      std::size_t expect, double lo, double hi,
                      std::vector<double>* out,
                      std::vector<Diagnostic>* diags) {
-  const std::vector<std::string> tokens =
-      split_csv(config.get_string(key, "", diags));
-  if (tokens.size() != expect) {
+  const std::string value = config.get_string(key, "", diags);
+  std::vector<std::string_view> tokens(expect);
+  const std::size_t n = text::split_fields(value, tokens.data(), expect);
+  if (n != expect) {
     std::ostringstream msg;
     msg << "expected " << expect << " comma-separated values (one per "
-        << "tenant), got " << tokens.size();
+        << "tenant), got " << n;
     diags->push_back({0, key, msg.str()});
     return false;
   }
   out->clear();
-  for (const std::string& token : tokens) {
-    std::size_t used = 0;
+  for (const std::string_view token : tokens) {
     double v = 0.0;
-    bool ok = !token.empty();
-    if (ok) {
-      try {
-        v = std::stod(token, &used);
-      } catch (...) {
-        ok = false;
-      }
-    }
-    if (!ok || used != token.size()) {
-      diags->push_back({0, key, "malformed number '" + token + "'"});
+    if (!text::parse_f64(token, &v)) {
+      diags->push_back(
+          {0, key, "malformed number '" + std::string(token) + "'"});
       return false;
     }
     if (!(v >= lo && v <= hi)) {
@@ -425,12 +396,14 @@ void parse_tenants(Config& config, ScenarioSpec* spec,
   }
 
   if (config.has("tenants.profiles")) {
-    const std::vector<std::string> names =
-        split_csv(config.get_string("tenants.profiles", "", diags));
-    if (names.size() != count) {
+    const std::string value =
+        config.get_string("tenants.profiles", "", diags);
+    std::vector<std::string_view> names(count);
+    const std::size_t n = text::split_fields(value, names.data(), count);
+    if (n != count) {
       std::ostringstream msg;
       msg << "expected " << count << " comma-separated profile names (one "
-          << "per tenant), got " << names.size();
+          << "per tenant), got " << n;
       diags->push_back({0, "tenants.profiles", msg.str()});
     } else {
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -447,7 +420,8 @@ void parse_tenants(Config& config, ScenarioSpec* spec,
         }
         if (!found)
           diags->push_back({0, "tenants.profiles",
-                            "unknown workload profile '" + names[i] + "'"});
+                            "unknown workload profile '" +
+                                std::string(names[i]) + "'"});
       }
     }
   }

@@ -2,50 +2,22 @@
 
 #include <stdexcept>
 
+#include "common/text.h"
 #include "workload/trace_io.h"
 
 namespace rdsim::replay {
-namespace {
-
-/// Field count of a comma-separated line (commas + 1). Quoting in the
-/// supported formats never embeds commas, so this is exact.
-std::size_t field_count(const std::string& line) {
-  std::size_t n = 1;
-  for (char c : line)
-    if (c == ',') ++n;
-  return n;
-}
-
-/// Blank (possibly just "\r") or #-comment — same rule the line parsers
-/// apply, duplicated here so sniffing skips what parsing would skip.
-bool is_skippable(const std::string& line) {
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') continue;
-    return c == '#';
-  }
-  return true;
-}
-
-}  // namespace
 
 StreamingTraceReader::StreamingTraceReader(std::istream& in,
                                            TraceFormat format,
                                            std::uint32_t page_bytes)
     : in_(in), format_(format), page_bytes_(page_bytes) {}
 
-bool StreamingTraceReader::next_data_line(std::string* line) {
-  while (std::getline(in_, *line)) {
-    ++line_no_;
-    if (!is_skippable(*line)) return true;
-  }
-  return false;
-}
-
 bool StreamingTraceReader::next(workload::IoRequest* out) {
-  std::string line;
-  while (next_data_line(&line)) {
+  while (std::getline(in_, line_)) {
+    ++line_no_;
+    if (text::is_blank_or_comment(line_)) continue;
     if (format_ == TraceFormat::kAuto) {
-      const std::size_t n = field_count(line);
+      const std::size_t n = text::split_fields(line_, nullptr, 0);
       if (n == 4) {
         format_ = TraceFormat::kCsv;
       } else if (n >= 6) {
@@ -56,26 +28,23 @@ bool StreamingTraceReader::next(workload::IoRequest* out) {
                                  std::to_string(n) +
                                  " fields; expected 4 for rdsim CSV or >=6 "
                                  "for MSR): '" +
-                                 line + "'");
+                                 line_ + "'");
       }
     }
     if (format_ == TraceFormat::kMsr) {
-      if (!have_first_tick_) {
-        first_tick_ = workload::msr_timestamp_ticks(line, line_no_);
-        have_first_tick_ = true;
-      }
-      if (workload::parse_msr_line(line, page_bytes_, first_tick_, out,
-                                   line_no_)) {
-        ++records_;
-        return true;
-      }
-    } else {
-      if (workload::parse_csv_trace_line(line, out, line_no_)) {
-        ++records_;
-        return true;
-      }
+      std::uint64_t tick = 0;
+      workload::parse_msr_line(line_, page_bytes_, out, &tick, line_no_);
+      // Rebase on the integer tick; a tick before the first record's
+      // gives a negative time, which the replayer clamps to 0.
+      if (records_ == 0) first_tick_ = tick;
+      out->time_s = tick >= first_tick_
+                        ? static_cast<double>(tick - first_tick_) * 1e-7
+                        : -(static_cast<double>(first_tick_ - tick) * 1e-7);
+    } else if (!workload::parse_csv_trace_line(line_, out, line_no_)) {
+      continue;  // The CSV header.
     }
-    // Parser skipped the line (e.g. a CSV header): keep going.
+    ++records_;
+    return true;
   }
   return false;
 }

@@ -1,12 +1,12 @@
 // rdsim/replay/trace_reader.h
 //
-// Streaming trace ingestion with bounded memory. The reader pulls one
-// line at a time from its stream and materializes at most `window`
+// Streaming trace ingestion with bounded memory: the only way rdsim
+// reads a whole trace. The reader pulls one line at a time from its
+// stream into one reused line buffer and materializes at most `window`
 // requests per read_chunk() call, so replaying a multi-gigabyte trace
-// costs O(window) memory regardless of trace length — the property the
-// full-file readers in workload/trace_io.h (read_msr_trace /
-// read_trace_csv) give up for convenience. Parsing is delegated to the
-// same line parsers, so the two paths agree record-for-record (tested).
+// costs O(window) memory regardless of trace length. Each line goes
+// through the workload/trace_io.h line parsers (tested to agree
+// record-for-record).
 #pragma once
 
 #include <cstdint>
@@ -53,15 +53,13 @@ class StreamingTraceReader {
   std::uint64_t line_no() const { return line_no_; }
 
  private:
-  bool next_data_line(std::string* line);
-
   std::istream& in_;
+  std::string line_;  ///< Reused across records: no per-line allocation.
   TraceFormat format_;
   std::uint32_t page_bytes_;
   std::uint64_t line_no_ = 0;
   std::uint64_t records_ = 0;
-  std::uint64_t first_tick_ = 0;
-  bool have_first_tick_ = false;
+  std::uint64_t first_tick_ = 0;  ///< MSR: the first record's raw tick.
 };
 
 }  // namespace rdsim::replay

@@ -1,12 +1,12 @@
 #include "sim/cli.h"
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
+
+#include "common/text.h"
 
 namespace rdsim::sim {
 namespace {
@@ -23,37 +23,6 @@ bool take_value(int argc, char** argv, int& i, std::string_view flag,
   return true;
 }
 
-// Strict numeric parsers: trailing garbage is an error, not silently
-// dropped ("--seed 4Z" must not run as seed 4).
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(const std::string& s, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
-      v < INT_MIN || v > INT_MAX)
-    return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(const std::string& s, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -62,20 +31,24 @@ CliOptions parse_cli(int argc, char** argv) {
     const std::string_view arg = argv[i];
     std::string value;
     if (take_value(argc, argv, i, "--seed", value, options)) {
-      if (options.error.empty() && !parse_u64(value, &options.config.seed))
-        options.error = "--seed needs an unsigned integer, got '" + value +
-                        "'";
-    } else if (take_value(argc, argv, i, "--threads", value, options)) {
       if (options.error.empty() &&
-          (!parse_int(value, &options.config.threads) ||
-           options.config.threads < 1))
+          !text::parse_u64(value, &options.config.seed))
+        options.error = "--seed needs an unsigned decimal integer, got '" +
+                        value + "'";
+    } else if (take_value(argc, argv, i, "--threads", value, options)) {
+      std::uint64_t threads = 0;
+      if (options.error.empty() &&
+          (!text::parse_u64(value, &threads) || threads < 1 ||
+           threads > INT_MAX))
         options.error = "--threads must be an integer >= 1, got '" + value +
                         "'";
+      else if (options.error.empty())
+        options.config.threads = static_cast<int>(threads);
     } else if (take_value(argc, argv, i, "--out-dir", value, options)) {
       if (options.error.empty()) options.out_dir = value;
     } else if (take_value(argc, argv, i, "--scale", value, options)) {
       if (options.error.empty()) {
-        if (!parse_double(value, &options.config.scale) ||
+        if (!text::parse_f64(value, &options.config.scale) ||
             options.config.scale <= 0.0) {
           options.error = "--scale must be a number > 0, got '" + value + "'";
         } else {
@@ -102,8 +75,8 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (take_value(argc, argv, i, "--checkpoint-every", value,
                           options)) {
       std::uint64_t every = 0;
-      if (options.error.empty() && (!parse_u64(value, &every) || every == 0 ||
-                                    every > 100000))
+      if (options.error.empty() &&
+          (!text::parse_u64(value, &every) || every == 0 || every > 100000))
         options.error =
             "--checkpoint-every must be an integer in [1, 100000], got '" +
             value + "'";
@@ -113,8 +86,8 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (take_value(argc, argv, i, "--stop-after-checkpoints", value,
                           options)) {
       std::uint64_t count = 0;
-      if (options.error.empty() && (!parse_u64(value, &count) || count == 0 ||
-                                    count > 100000))
+      if (options.error.empty() &&
+          (!text::parse_u64(value, &count) || count == 0 || count > 100000))
         options.error = "--stop-after-checkpoints must be an integer in "
                         "[1, 100000], got '" + value + "'";
       else if (options.error.empty())
@@ -144,9 +117,7 @@ const char* cli_flag_help() {
       "  --threads N     worker threads; results are identical for any N\n"
       "  --out-dir DIR   directory for CSV output (default ./out)\n"
       "  --csv [PATH]    write the CSV (default PATH <out-dir>/<name>.csv);\n"
-      "                  the rdsim driver then keeps the table off stdout.\n"
-      "                  Bench binaries always write their CSV unless\n"
-      "                  --no-file is given\n"
+      "                  the rdsim driver then keeps the table off stdout\n"
       "  --no-file       print to stdout only, write no file\n"
       "  --quiet         suppress the stdout table\n"
       "  --tiny          tiny chip geometry + 0.02 scale (fast smoke run)\n"

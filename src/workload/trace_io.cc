@@ -1,45 +1,14 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+
+#include "common/text.h"
 
 namespace rdsim::workload {
 namespace {
-
-/// Strips surrounding whitespace (spaces, tabs, CR — so CRLF line endings
-/// just work) and then one pair of surrounding double quotes, if present.
-/// MSR exports from spreadsheet tooling quote fields; embedded commas are
-/// out of scope (the format has none), so a simple strip suffices.
-std::string clean_field(const std::string& raw) {
-  std::size_t b = 0;
-  std::size_t e = raw.size();
-  while (b < e && (raw[b] == ' ' || raw[b] == '\t' || raw[b] == '\r')) ++b;
-  while (e > b &&
-         (raw[e - 1] == ' ' || raw[e - 1] == '\t' || raw[e - 1] == '\r'))
-    --e;
-  if (e - b >= 2 && raw[b] == '"' && raw[e - 1] == '"') {
-    ++b;
-    --e;
-  }
-  return raw.substr(b, e - b);
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto pos = line.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(clean_field(line.substr(start)));
-      break;
-    }
-    out.push_back(clean_field(line.substr(start, pos - start)));
-    start = pos + 1;
-  }
-  return out;
-}
 
 /// "line N: " prefix for parse errors, empty when the caller did not
 /// supply a line number (line_no == 0).
@@ -48,38 +17,17 @@ std::string at_line(std::uint64_t line_no) {
   return "line " + std::to_string(line_no) + ": ";
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* what,
+[[noreturn]] void fail(std::uint64_t line_no, const char* what,
+                       std::string_view text) {
+  throw std::runtime_error(at_line(line_no) + what + ": '" +
+                           std::string(text) + "'");
+}
+
+std::uint64_t u64_field(std::string_view s, const char* what,
                         std::uint64_t line_no) {
   std::uint64_t v = 0;
-  const auto* begin = s.data();
-  const auto* end = s.data() + s.size();
-  const auto result = std::from_chars(begin, end, v);
-  if (result.ec != std::errc{} || result.ptr != end)
-    throw std::runtime_error(at_line(line_no) + "bad " + what + ": '" + s +
-                             "'");
+  if (!text::parse_u64(s, &v)) fail(line_no, what, s);
   return v;
-}
-
-double parse_double(const std::string& s, const char* what,
-                    std::uint64_t line_no) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(at_line(line_no) + "bad " + what + ": '" + s +
-                             "'");
-  }
-}
-
-/// Blank (including a lone "\r" from a CRLF blank line) or #-comment.
-bool is_skippable(const std::string& line) {
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') continue;
-    return c == '#';
-  }
-  return true;
 }
 
 }  // namespace
@@ -95,88 +43,51 @@ void write_trace_csv(std::ostream& out, const std::vector<IoRequest>& trace) {
   }
 }
 
-bool parse_csv_trace_line(const std::string& line, IoRequest* out,
+bool parse_csv_trace_line(std::string_view line, IoRequest* out,
                           std::uint64_t line_no) {
-  if (is_skippable(line)) return false;
-  const auto fields = split(line, ',');
-  if (!fields.empty() && fields[0] == "time_s") return false;  // header
-  if (fields.size() != 4)
-    throw std::runtime_error(at_line(line_no) + "bad trace row: '" + line +
-                             "'");
-  out->time_s = parse_double(fields[0], "time", line_no);
-  if (fields[1] != "R" && fields[1] != "W")
-    throw std::runtime_error(at_line(line_no) + "bad op: '" + fields[1] + "'");
-  out->is_write = fields[1] == "W";
-  out->lpn = parse_u64(fields[2], "lpn", line_no);
-  out->pages =
-      static_cast<std::uint32_t>(parse_u64(fields[3], "pages", line_no));
-  if (out->pages == 0)
-    throw std::runtime_error(at_line(line_no) +
-                             "zero-size request: '" + line + "'");
+  if (text::is_blank_or_comment(line)) return false;
+  std::string_view f[4];
+  const std::size_t n = text::split_fields(line, f, 4);
+  if (f[0] == "time_s") return false;  // header
+  if (n != 4) fail(line_no, "bad trace row", line);
+  double time_s = 0.0;
+  if (!text::parse_f64(f[0], &time_s)) fail(line_no, "bad time", f[0]);
+  if (f[1] != "R" && f[1] != "W") fail(line_no, "bad op", f[1]);
+  out->time_s = time_s;
+  out->is_write = f[1] == "W";
+  out->lpn = u64_field(f[2], "bad lpn", line_no);
+  const std::uint64_t pages = u64_field(f[3], "bad pages", line_no);
+  if (pages == 0) fail(line_no, "zero-size request", line);
+  if (pages > UINT32_MAX) fail(line_no, "bad pages", f[3]);
+  out->pages = static_cast<std::uint32_t>(pages);
   return true;
 }
 
-std::vector<IoRequest> read_trace_csv(std::istream& in) {
-  std::vector<IoRequest> trace;
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    IoRequest r;
-    if (parse_csv_trace_line(line, &r, line_no)) trace.push_back(r);
-  }
-  return trace;
-}
-
-bool parse_msr_line(const std::string& line, std::uint32_t page_bytes,
-                    std::uint64_t first_tick, IoRequest* out,
+bool parse_msr_line(std::string_view line, std::uint32_t page_bytes,
+                    IoRequest* out, std::uint64_t* ticks,
                     std::uint64_t line_no) {
-  if (is_skippable(line)) return false;
-  const auto fields = split(line, ',');
-  if (fields.size() < 6)
-    throw std::runtime_error(at_line(line_no) + "bad MSR row: '" + line + "'");
-  const std::uint64_t ticks = parse_u64(fields[0], "timestamp", line_no);
-  const std::string& type = fields[3];
-  const std::uint64_t offset = parse_u64(fields[4], "offset", line_no);
-  const std::uint64_t size = parse_u64(fields[5], "size", line_no);
-  if (size == 0)
-    throw std::runtime_error(at_line(line_no) +
-                             "zero-size request: '" + line + "'");
-  out->time_s = static_cast<double>(ticks - first_tick) * 1e-7;
-  out->is_write = type == "Write" || type == "write" || type == "W";
-  out->lpn = offset / page_bytes;
-  const std::uint64_t last = (offset + size - 1) / page_bytes;
-  out->pages = static_cast<std::uint32_t>(last - out->lpn + 1);
+  if (text::is_blank_or_comment(line)) return false;
+  std::string_view f[6];
+  if (text::split_fields(line, f, 6) < 6) fail(line_no, "bad MSR row", line);
+  const std::uint64_t tick = u64_field(f[0], "bad timestamp", line_no);
+  const std::string_view type = f[3];
+  const bool is_write = type == "Write" || type == "write" || type == "W";
+  if (!is_write && type != "Read" && type != "read" && type != "R")
+    fail(line_no, "bad type", type);
+  const std::uint64_t offset = u64_field(f[4], "bad offset", line_no);
+  const std::uint64_t size = u64_field(f[5], "bad size", line_no);
+  if (size == 0) fail(line_no, "zero-size request", line);
+  // The last byte must be addressable and the span must fit in pages.
+  if (size - 1 > UINT64_MAX - offset) fail(line_no, "bad size", f[5]);
+  const std::uint64_t lpn = offset / page_bytes;
+  const std::uint64_t pages = (offset + size - 1) / page_bytes - lpn + 1;
+  if (pages > UINT32_MAX) fail(line_no, "bad size", f[5]);
+  *ticks = tick;
+  out->time_s = static_cast<double>(tick) * 1e-7;
+  out->is_write = is_write;
+  out->lpn = lpn;
+  out->pages = static_cast<std::uint32_t>(pages);
   return true;
-}
-
-std::uint64_t msr_timestamp_ticks(const std::string& line,
-                                  std::uint64_t line_no) {
-  const auto fields = split(line, ',');
-  if (fields.empty() || fields[0].empty())
-    throw std::runtime_error(at_line(line_no) + "bad MSR row: '" + line + "'");
-  return parse_u64(fields[0], "timestamp", line_no);
-}
-
-std::vector<IoRequest> read_msr_trace(std::istream& in,
-                                      std::uint32_t page_bytes) {
-  std::vector<IoRequest> trace;
-  std::string line;
-  std::uint64_t line_no = 0;
-  std::uint64_t first_tick = 0;
-  bool have_first = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (is_skippable(line)) continue;
-    if (!have_first) {
-      first_tick = msr_timestamp_ticks(line, line_no);
-      have_first = true;
-    }
-    IoRequest r;
-    if (parse_msr_line(line, page_bytes, first_tick, &r, line_no))
-      trace.push_back(r);
-  }
-  return trace;
 }
 
 std::vector<host::Command> to_commands(const std::vector<IoRequest>& trace,

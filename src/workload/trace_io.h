@@ -8,18 +8,18 @@
 //     Offset,Size,ResponseTime" with byte offsets/sizes, converted to
 //     page granularity on load (the trace family the paper evaluates on).
 //
-// The line parsers tolerate real-world file noise: CRLF line endings,
-// whitespace around fields, and quoted (embedded-comma-free) fields.
-// Malformed rows throw std::runtime_error; when the caller supplies a
-// nonzero line number the message is prefixed "line N: " so a bad row
-// deep in a multi-gigabyte trace is findable. Streaming ingestion with
-// bounded memory lives above this in replay::StreamingTraceReader.
+// The line parsers run on the common/text.h scanner and tolerate
+// real-world file noise: CRLF line endings, whitespace around fields,
+// and quoted (embedded-comma-free) fields. Malformed rows throw
+// std::runtime_error "line N: bad <field>: '<text>'" (the prefix only
+// when the caller supplies a nonzero line number), so a bad row deep in
+// a multi-gigabyte trace is findable. Reading a whole trace is
+// replay::StreamingTraceReader's job, with bounded memory.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "workload/trace.h"
@@ -29,35 +29,23 @@ namespace rdsim::workload {
 /// Writes requests in rdsim CSV format (with a header line).
 void write_trace_csv(std::ostream& out, const std::vector<IoRequest>& trace);
 
-/// Reads rdsim CSV (header line optional). Throws std::runtime_error on
-/// malformed rows.
-std::vector<IoRequest> read_trace_csv(std::istream& in);
-
 /// Parses one rdsim-CSV record. Returns false for blank/comment lines
 /// and the "time_s,..." header; throws std::runtime_error (line-numbered
-/// when `line_no` > 0) on malformed rows.
-bool parse_csv_trace_line(const std::string& line, IoRequest* out,
+/// when `line_no` > 0) on malformed rows: a non-finite or malformed time,
+/// an op other than R/W, or pages outside [1, 2^32-1].
+bool parse_csv_trace_line(std::string_view line, IoRequest* out,
                           std::uint64_t line_no = 0);
 
 /// Parses one MSR-Cambridge record into page granularity. Returns false
 /// for blank/comment lines. Throws std::runtime_error (line-numbered
-/// when `line_no` > 0) on malformed rows and on zero-size requests.
-/// MSR timestamps are Windows ticks (100 ns); they are rebased by the
-/// caller-supplied `first_tick` (pass 0 to keep absolute seconds).
-bool parse_msr_line(const std::string& line, std::uint32_t page_bytes,
-                    std::uint64_t first_tick, IoRequest* out,
+/// when `line_no` > 0) on malformed rows, on a type other than
+/// Read/read/R/Write/write/W, and on zero-size requests or ones whose
+/// byte or page span does not fit. MSR timestamps are Windows ticks
+/// (100 ns): `*ticks` gets the raw tick, which a reader rebasing the
+/// trace needs because doubles lose integer precision above 2^53;
+/// `out->time_s` gets absolute seconds.
+bool parse_msr_line(std::string_view line, std::uint32_t page_bytes,
+                    IoRequest* out, std::uint64_t* ticks,
                     std::uint64_t line_no = 0);
-
-/// Raw timestamp ticks of one MSR record (same field cleaning as
-/// parse_msr_line) — what a streaming reader needs to rebase a trace
-/// without holding it: the tick does not survive a round-trip through
-/// IoRequest::time_s (doubles lose integer precision above 2^53).
-std::uint64_t msr_timestamp_ticks(const std::string& line,
-                                  std::uint64_t line_no = 0);
-
-/// Reads a full MSR-Cambridge trace; timestamps are rebased so the first
-/// record is t = 0.
-std::vector<IoRequest> read_msr_trace(std::istream& in,
-                                      std::uint32_t page_bytes = 8192);
 
 }  // namespace rdsim::workload

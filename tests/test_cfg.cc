@@ -135,17 +135,26 @@ TEST(Config, MalformedConstructsAreDiagnosedWithLines) {
 TEST(Config, BadTypedValuesAreDiagnosed) {
   std::vector<Diagnostic> diags;
   Config config = Config::parse(
-      "[t]\nu = -3\nu2 = 4Z\nd = fast\nb = maybe\n", &diags);
+      "[t]\nu = -3\nu2 = 4Z\nd = fast\nb = maybe\n"
+      // Outside the decimal grammar: non-finite, hex, a leading '+', and
+      // out of double's range.
+      "n = nan\ni = inf\nh = 0x1p3\np = +7\nbig = 1e400\n",
+      &diags);
   ASSERT_TRUE(diags.empty());
   EXPECT_EQ(config.get_u64("t.u", 9, &diags), 9u);
   EXPECT_EQ(config.get_u64("t.u2", 9, &diags), 9u);
   EXPECT_DOUBLE_EQ(config.get_double("t.d", 1.5, &diags), 1.5);
   EXPECT_TRUE(config.get_bool("t.b", true, &diags));
-  ASSERT_EQ(diags.size(), 4u);
-  EXPECT_EQ(diags[0].key, "t.u");
-  EXPECT_EQ(diags[1].key, "t.u2");
-  EXPECT_EQ(diags[2].key, "t.d");
-  EXPECT_EQ(diags[3].key, "t.b");
+  EXPECT_DOUBLE_EQ(config.get_double("t.n", 1.5, &diags), 1.5);
+  EXPECT_DOUBLE_EQ(config.get_double("t.i", 1.5, &diags), 1.5);
+  EXPECT_DOUBLE_EQ(config.get_double("t.h", 1.5, &diags), 1.5);
+  EXPECT_EQ(config.get_u64("t.p", 9, &diags), 9u);
+  EXPECT_DOUBLE_EQ(config.get_double("t.big", 1.5, &diags), 1.5);
+  const char* keys[] = {"t.u", "t.u2", "t.d", "t.b", "t.n",
+                        "t.i", "t.h",  "t.p", "t.big"};
+  ASSERT_EQ(diags.size(), std::size(keys));
+  for (std::size_t i = 0; i < diags.size(); ++i)
+    EXPECT_EQ(diags[i].key, keys[i]);
   for (const auto& d : diags) EXPECT_GT(d.line, 0);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the trace-replay subsystem (src/replay):
-//   1. the streaming reader agrees record-for-record with the full-file
-//      readers, across chunk boundaries, for both formats (auto-detected);
+//   1. the streaming reader agrees record-for-record with the per-line
+//      parsers, across chunk boundaries, for both formats (auto-detected);
 //   2. memory stays bounded by the chunk window when the trace is far
 //      larger than the window;
 //   3. malformed rows and unrecognizable formats fail with line-numbered
@@ -68,6 +68,32 @@ std::string synthetic_csv(std::size_t rows) {
   return out.str();
 }
 
+/// The reference the streaming reader must agree with: `text` through
+/// the workload/trace_io.h line parsers, one getline at a time, MSR ticks
+/// rebased on the first record's (the inputs here are in tick order).
+std::vector<IoRequest> parse_lines(const std::string& text,
+                                   TraceFormat format) {
+  std::istringstream in(text);
+  std::vector<IoRequest> out;
+  std::string line;
+  std::uint64_t line_no = 0;
+  std::uint64_t first_tick = 0;
+  IoRequest r;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (format == TraceFormat::kCsv) {
+      if (workload::parse_csv_trace_line(line, &r, line_no)) out.push_back(r);
+      continue;
+    }
+    std::uint64_t tick = 0;
+    if (!workload::parse_msr_line(line, 8192, &r, &tick, line_no)) continue;
+    if (out.empty()) first_tick = tick;
+    r.time_s = static_cast<double>(tick - first_tick) * 1e-7;
+    out.push_back(r);
+  }
+  return out;
+}
+
 void expect_same(const std::vector<IoRequest>& a,
                  const std::vector<IoRequest>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -81,11 +107,10 @@ void expect_same(const std::vector<IoRequest>& a,
 
 // --- Streaming reader -------------------------------------------------------
 
-TEST(StreamingTraceReader, MsrAgreesWithFullReaderAcrossChunkBoundaries) {
+TEST(StreamingTraceReader, MsrAgreesWithLineParserAcrossChunkBoundaries) {
   const std::string text = read_file(sample_path());
   ASSERT_FALSE(text.empty());
-  std::istringstream full_in(text);
-  const auto full = workload::read_msr_trace(full_in);
+  const auto full = parse_lines(text, TraceFormat::kMsr);
   ASSERT_EQ(full.size(), 200u);  // The checked-in sample is 200 records.
 
   // Window 7 does not divide 200, so every chunk boundary lands mid-file.
@@ -104,10 +129,9 @@ TEST(StreamingTraceReader, MsrAgreesWithFullReaderAcrossChunkBoundaries) {
   EXPECT_DOUBLE_EQ(streamed.front().time_s, 0.0);
 }
 
-TEST(StreamingTraceReader, CsvAgreesWithFullReader) {
+TEST(StreamingTraceReader, CsvAgreesWithLineParser) {
   const std::string text = synthetic_csv(500);
-  std::istringstream full_in(text);
-  const auto full = workload::read_trace_csv(full_in);
+  const auto full = parse_lines(text, TraceFormat::kCsv);
   ASSERT_EQ(full.size(), 500u);
 
   std::istringstream stream_in(text);

@@ -1,10 +1,11 @@
-// Tests for trace file I/O (rdsim CSV + MSR-Cambridge format) and FTL
-// snapshot persistence.
+// Tests for trace file I/O (rdsim CSV + MSR-Cambridge format, read
+// through the streaming reader) and FTL snapshot persistence.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "ftl/ftl.h"
+#include "replay/trace_reader.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
 #include "workload/trace_io.h"
@@ -14,6 +15,36 @@ namespace {
 
 using workload::IoRequest;
 
+/// Reads a whole trace through the streaming reader, the one way rdsim
+/// reads a trace file.
+std::vector<IoRequest> read_all(const std::string& text,
+                                replay::TraceFormat format) {
+  std::istringstream in(text);
+  replay::StreamingTraceReader reader(in, format);
+  std::vector<IoRequest> out;
+  IoRequest r;
+  while (reader.next(&r)) out.push_back(r);
+  return out;
+}
+
+std::vector<IoRequest> read_csv(const std::string& text) {
+  return read_all(text, replay::TraceFormat::kCsv);
+}
+
+std::vector<IoRequest> read_msr(const std::string& text) {
+  return read_all(text, replay::TraceFormat::kMsr);
+}
+
+/// The reader's error for `text`, or "" when it is accepted.
+std::string read_error(const std::string& text, replay::TraceFormat format) {
+  try {
+    read_all(text, format);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(TraceIo, CsvRoundTrip) {
   std::vector<IoRequest> trace = {
       {0.5, 100, 4, false},
@@ -22,7 +53,7 @@ TEST(TraceIo, CsvRoundTrip) {
   };
   std::stringstream ss;
   workload::write_trace_csv(ss, trace);
-  const auto back = workload::read_trace_csv(ss);
+  const auto back = read_csv(ss.str());
   ASSERT_EQ(back.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_NEAR(back[i].time_s, trace[i].time_s, 1e-6);
@@ -33,20 +64,43 @@ TEST(TraceIo, CsvRoundTrip) {
 }
 
 TEST(TraceIo, CsvHeaderOptional) {
-  std::stringstream ss("0.100000,R,7,2\n");
-  const auto trace = workload::read_trace_csv(ss);
+  const auto trace = read_csv("0.100000,R,7,2\n");
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].lpn, 7u);
   EXPECT_FALSE(trace[0].is_write);
 }
 
 TEST(TraceIo, CsvRejectsMalformed) {
-  std::stringstream bad_op("0.1,X,7,2\n");
-  EXPECT_THROW(workload::read_trace_csv(bad_op), std::runtime_error);
-  std::stringstream short_row("0.1,R,7\n");
-  EXPECT_THROW(workload::read_trace_csv(short_row), std::runtime_error);
-  std::stringstream bad_num("0.1,R,seven,2\n");
-  EXPECT_THROW(workload::read_trace_csv(bad_num), std::runtime_error);
+  // Each row is rejected with its line number and the offending field:
+  // a bad op, a short row, a non-numeric lpn, a non-finite time (which
+  // the replayer's clamp would otherwise turn into 0 or an infinite
+  // span), a page count that does not fit 32 bits (4294967297 used to
+  // truncate to 1 page), and numbers outside the decimal grammar.
+  const struct {
+    const char* row;
+    const char* what;
+  } cases[] = {
+      {"0.1,X,7,2\n", "bad op: 'X'"},
+      {"0.1,R,7\n", "bad trace row"},
+      {"0.1,R,seven,2\n", "bad lpn: 'seven'"},
+      {"nan,R,7,2\n", "bad time: 'nan'"},
+      {"inf,R,7,2\n", "bad time: 'inf'"},
+      {"-inf,R,7,2\n", "bad time: '-inf'"},
+      {"1e400,R,7,2\n", "bad time: '1e400'"},
+      {"0x1p3,R,7,2\n", "bad time: '0x1p3'"},
+      {"+0.1,R,7,2\n", "bad time: '+0.1'"},
+      {"0.1,R,7,4294967296\n", "bad pages: '4294967296'"},
+      {"0.1,R,7,4294967297\n", "bad pages: '4294967297'"},
+      {"0.1,R,18446744073709551616,2\n", "bad lpn"},
+  };
+  for (const auto& c : cases) {
+    const std::string error = read_error(
+        std::string("time_s,op,lpn,pages\n0.0,R,1,1\n") + c.row,
+        replay::TraceFormat::kCsv);
+    EXPECT_NE(error.find(std::string("line 3: ") + c.what),
+              std::string::npos)
+        << c.row << " -> " << error;
+  }
 }
 
 TEST(TraceIo, GeneratedDayRoundTrips) {
@@ -56,26 +110,28 @@ TEST(TraceIo, GeneratedDayRoundTrips) {
   day.resize(std::min<std::size_t>(day.size(), 500));
   std::stringstream ss;
   workload::write_trace_csv(ss, day);
-  const auto back = workload::read_trace_csv(ss);
+  const auto back = read_csv(ss.str());
   ASSERT_EQ(back.size(), day.size());
   EXPECT_EQ(back[42].lpn, day[42].lpn);
 }
 
 TEST(TraceIo, MsrLineParsing) {
   IoRequest r;
+  std::uint64_t tick = 0;
   // 128 KB read at byte offset 81920 -> pages 10..25 with 8 KiB pages.
   ASSERT_TRUE(workload::parse_msr_line(
-      "128166372003061419,usr,0,Read,81920,131072,1029", 8192, 0, &r));
+      "128166372003061419,usr,0,Read,81920,131072,1029", 8192, &r, &tick));
   EXPECT_FALSE(r.is_write);
   EXPECT_EQ(r.lpn, 10u);
   EXPECT_EQ(r.pages, 16u);
 }
 
 TEST(TraceIo, MsrWriteAndRebase) {
-  IoRequest r;
-  ASSERT_TRUE(workload::parse_msr_line(
-      "128166372013061419,usr,0,Write,8192,8192,100", 8192,
-      128166372003061419ULL, &r));
+  const auto trace = read_msr(
+      "128166372003061419,usr,0,Read,0,8192,100\n"
+      "128166372013061419,usr,0,Write,8192,8192,100\n");
+  ASSERT_EQ(trace.size(), 2u);
+  const IoRequest& r = trace[1];
   EXPECT_TRUE(r.is_write);
   EXPECT_EQ(r.lpn, 1u);
   EXPECT_EQ(r.pages, 1u);
@@ -84,15 +140,15 @@ TEST(TraceIo, MsrWriteAndRebase) {
 
 TEST(TraceIo, MsrSkipsComments) {
   IoRequest r;
-  EXPECT_FALSE(workload::parse_msr_line("# header", 8192, 0, &r));
-  EXPECT_FALSE(workload::parse_msr_line("", 8192, 0, &r));
+  std::uint64_t tick = 0;
+  EXPECT_FALSE(workload::parse_msr_line("# header", 8192, &r, &tick));
+  EXPECT_FALSE(workload::parse_msr_line("", 8192, &r, &tick));
 }
 
 TEST(TraceIo, MsrFullStream) {
-  std::stringstream ss(
+  const auto trace = read_msr(
       "128166372003061419,usr,0,Read,0,16384,10\n"
       "128166372013061419,usr,0,Write,40960,4096,12\n");
-  const auto trace = workload::read_msr_trace(ss);
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_NEAR(trace[0].time_s, 0.0, 1e-9);
   EXPECT_NEAR(trace[1].time_s, 1.0, 1e-6);
@@ -100,9 +156,23 @@ TEST(TraceIo, MsrFullStream) {
   EXPECT_EQ(trace[1].lpn, 5u);
 }
 
+TEST(TraceIo, MsrTickBeforeFirstRebasesNegative) {
+  // An out-of-order tick before the first record's rebases to a negative
+  // time (which the replayer clamps to 0, as for a negative CSV time);
+  // it must not wrap around as an unsigned difference.
+  const auto trace = read_msr(
+      "128166372013061419,usr,0,Read,0,4096,1\n"
+      "128166372003061419,usr,0,Read,0,4096,1\n");
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_DOUBLE_EQ(trace[0].time_s, 0.0);
+  EXPECT_DOUBLE_EQ(trace[1].time_s, -1.0);
+}
+
 TEST(TraceIo, MsrSubPageWriteTouchesOnePage) {
   IoRequest r;
-  ASSERT_TRUE(workload::parse_msr_line("1,h,0,Write,100,512,1", 8192, 1, &r));
+  std::uint64_t tick = 0;
+  ASSERT_TRUE(
+      workload::parse_msr_line("1,h,0,Write,100,512,1", 8192, &r, &tick));
   EXPECT_EQ(r.lpn, 0u);
   EXPECT_EQ(r.pages, 1u);
 }
@@ -111,9 +181,10 @@ TEST(TraceIo, MsrSubPageWriteTouchesOnePage) {
 
 TEST(TraceIo, MsrToleratesCrlfAndWhitespace) {
   IoRequest r;
+  std::uint64_t tick = 0;
   ASSERT_TRUE(workload::parse_msr_line(
-      "  128166372003061419 , usr ,0,\tRead , 81920 ,131072, 1029\r", 8192, 0,
-      &r));
+      "  128166372003061419 , usr ,0,\tRead , 81920 ,131072, 1029\r", 8192,
+      &r, &tick));
   EXPECT_FALSE(r.is_write);
   EXPECT_EQ(r.lpn, 10u);
   EXPECT_EQ(r.pages, 16u);
@@ -121,10 +192,11 @@ TEST(TraceIo, MsrToleratesCrlfAndWhitespace) {
 
 TEST(TraceIo, MsrToleratesQuotedFields) {
   IoRequest r;
+  std::uint64_t tick = 0;
   ASSERT_TRUE(workload::parse_msr_line(
       "\"128166372003061419\",\"usr\",\"0\",\"Write\",\"8192\",\"8192\","
       "\"100\"",
-      8192, 0, &r));
+      8192, &r, &tick));
   EXPECT_TRUE(r.is_write);
   EXPECT_EQ(r.lpn, 1u);
   EXPECT_EQ(r.pages, 1u);
@@ -132,8 +204,9 @@ TEST(TraceIo, MsrToleratesQuotedFields) {
 
 TEST(TraceIo, MsrRejectsZeroSizeWithLineNumber) {
   IoRequest r;
+  std::uint64_t tick = 0;
   try {
-    workload::parse_msr_line("5,h,0,Read,8192,0,1", 8192, 0, &r, 17);
+    workload::parse_msr_line("5,h,0,Read,8192,0,1", 8192, &r, &tick, 17);
     FAIL() << "zero-size request accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 17"), std::string::npos)
@@ -144,47 +217,81 @@ TEST(TraceIo, MsrRejectsZeroSizeWithLineNumber) {
 }
 
 TEST(TraceIo, MsrMalformedErrorCarriesLineNumber) {
-  IoRequest r;
-  try {
-    workload::parse_msr_line("not-a-tick,h,0,Read,0,4096,1", 8192, 0, &r, 99);
-    FAIL() << "malformed timestamp accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 99"), std::string::npos)
-        << e.what();
+  // A malformed tick; a byte span whose last byte overflows 2^64-1 (it
+  // used to wrap to a tiny request); a span of more than 2^32-1 pages
+  // (35 184 372 088 832 000 bytes used to wrap to a zero-page write); an
+  // op type that is neither a read nor a write (it used to count as a
+  // read).
+  const struct {
+    const char* row;
+    const char* what;
+  } cases[] = {
+      {"not-a-tick,h,0,Read,0,4096,1", "bad timestamp: 'not-a-tick'"},
+      {"5,h,0,Read,18446744073709551615,2,1", "bad size: '2'"},
+      {"5,h,0,Write,0,35184372088832000,1", "bad size: '35184372088832000'"},
+      {"5,h,0,Read,0,35184372088832001,1", "bad size: '35184372088832001'"},
+      {"5,h,0,Trim,0,4096,1", "bad type: 'Trim'"},
+      {"5,h,0,,0,4096,1", "bad type: ''"},
+      {"5,h,0,Read,-8192,4096,1", "bad offset: '-8192'"},
+  };
+  for (const auto& c : cases) {
+    IoRequest r;
+    std::uint64_t tick = 0;
+    try {
+      workload::parse_msr_line(c.row, 8192, &r, &tick, 99);
+      ADD_FAILURE() << c.row << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("line 99: ") + c.what),
+                std::string::npos)
+          << c.row << " -> " << e.what();
+    }
   }
 }
 
 TEST(TraceIo, MsrBlankCrlfLineSkipped) {
   IoRequest r;
-  EXPECT_FALSE(workload::parse_msr_line("\r", 8192, 0, &r));
-  EXPECT_FALSE(workload::parse_msr_line("  \t # comment\r", 8192, 0, &r));
+  std::uint64_t tick = 0;
+  EXPECT_FALSE(workload::parse_msr_line("\r", 8192, &r, &tick));
+  EXPECT_FALSE(workload::parse_msr_line("  \t # comment\r", 8192, &r, &tick));
 }
 
 TEST(TraceIo, MsrTimestampTicksExact) {
-  // The raw tick survives exactly (doubles above 2^53 would not).
-  EXPECT_EQ(workload::msr_timestamp_ticks(
-                "128166372003061419,usr,0,Read,0,4096,1"),
-            128166372003061419ULL);
-  EXPECT_THROW(workload::msr_timestamp_ticks("garbage,x", 3),
-               std::runtime_error);
+  // The raw tick survives exactly (doubles above 2^53 would not) ...
+  IoRequest r;
+  std::uint64_t tick = 0;
+  ASSERT_TRUE(workload::parse_msr_line(
+      "128166372003061419,usr,0,Read,0,4096,1", 8192, &r, &tick));
+  EXPECT_EQ(tick, 128166372003061419ULL);
+  // ... so the reader rebases on integers: two rows one tick apart are
+  // exactly one tick (1e-7 s) apart.
+  const auto trace = read_msr(
+      "128166372003061419,usr,0,Read,0,4096,1\n"
+      "128166372003061420,usr,0,Read,0,4096,1\n");
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].time_s, 0.0);
+  EXPECT_EQ(trace[1].time_s, 1e-7);
+  EXPECT_NE(read_error("garbage,x\n", replay::TraceFormat::kMsr)
+                .find("line 1"),
+            std::string::npos);
 }
 
 TEST(TraceIo, CsvToleratesCrlfAndRejectsZeroPages) {
-  std::stringstream crlf("time_s,op,lpn,pages\r\n0.100000,R,7,2\r\n");
-  const auto trace = workload::read_trace_csv(crlf);
+  const auto trace = read_csv("time_s,op,lpn,pages\r\n0.100000,R,7,2\r\n");
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].lpn, 7u);
 
-  std::stringstream zero("0.1,W,7,0\n");
-  try {
-    workload::read_trace_csv(zero);
-    FAIL() << "zero-page CSV row accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("zero-size"), std::string::npos)
-        << e.what();
-  }
+  // Blank CRLF lines, comments, whitespace and quotes around fields.
+  const auto noisy = read_csv(
+      "\r\n  # comment\r\n \"0.2\" , \"W\" ,\t8 , 1\r\n");
+  ASSERT_EQ(noisy.size(), 1u);
+  EXPECT_EQ(noisy[0].time_s, 0.2);
+  EXPECT_TRUE(noisy[0].is_write);
+  EXPECT_EQ(noisy[0].lpn, 8u);
+
+  const std::string error =
+      read_error("0.1,W,7,0\n", replay::TraceFormat::kCsv);
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("zero-size"), std::string::npos) << error;
 }
 
 // --- FTL snapshots -----------------------------------------------------------
