@@ -112,9 +112,8 @@ struct Completion {
 std::string to_string(const Completion& completion);
 
 /// The deterministic completion-log order: (complete_time, submit id).
-/// host::Device sorts its merged log with this, and ClosedLoopDriver's
-/// buffer relies on receiving records in exactly this order — keep the
-/// two on one definition.
+/// host::Device sorts its merged log with this, and its closed-loop
+/// replay frees slots in this order — keep the two on one definition.
 inline bool completion_log_order(const Completion& a, const Completion& b) {
   return a.complete_time_s != b.complete_time_s
              ? a.complete_time_s < b.complete_time_s

@@ -30,6 +30,20 @@ Completion completion_for(std::uint64_t id, const Command& cmd) {
   return rec;
 }
 
+/// Offset of shard `shard` from a command's first shard `first`: the
+/// command's pages on `shard` are its global offsets k0, k0 + shards, ...
+std::uint32_t landing_offset(std::uint32_t shard, std::uint32_t first,
+                             std::uint32_t shards) {
+  return shard >= first ? shard - first : shard + shards - first;
+}
+
+/// Whether a command has a landing at offset k0. A zero-page command still
+/// completes exactly once, as a zero-cost landing on the shard that owns
+/// its lpn.
+bool lands(const Command& cmd, std::uint32_t k0) {
+  return cmd.pages == 0 ? k0 == 0 : k0 < cmd.pages;
+}
+
 double tenant_weight(const ArbitrationConfig& arb, std::uint32_t tenant) {
   return arb.tenants.empty() ? 1.0 : arb.tenants[tenant].weight;
 }
@@ -85,7 +99,7 @@ void Device::set_arbitration(const ArbitrationConfig& config) {
   virtual_finish_.assign(tenant_count(), 0.0);
 }
 
-std::uint64_t Device::submit(const Command& command) {
+Device::Submitted Device::admit(const Command& command) {
   Submitted sub;
   sub.command = command;
   sub.command.queue =
@@ -131,9 +145,13 @@ std::uint64_t Device::submit(const Command& command) {
     }
   }
 
-  pending_.push_back(sub);
+  return sub;
+}
+
+std::uint64_t Device::submit(const Command& command) {
+  pending_.push_back(admit(command));
   ++submitted_;
-  return sub.id;
+  return pending_.back().id;
 }
 
 bool Device::arbitration_order(const Submitted& a, const Submitted& b) {
@@ -236,30 +254,61 @@ double Device::now_s() const {
   return t;
 }
 
+template <typename CommandAt>
+void Device::service_physics(std::size_t n, const CommandAt& command_at) {
+  const std::uint32_t shard_n = shard_count();
+  const std::uint64_t logical = logical_pages();
+  // De-stripe each command once: its first page wrapped into the logical
+  // space, and the shard that page lives on.
+  starts_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t wrapped = command_at(k).lpn % logical;
+    starts_[k] = {wrapped, static_cast<std::uint32_t>(wrapped % shard_n)};
+  }
+  // Only landings are written and only landings are read (service_timing),
+  // so nothing needs clearing between passes.
+  if (costs_.size() < n * shard_n) costs_.resize(n * shard_n);
+
+  pool_.for_each(shard_n, [&](std::size_t s) {
+    Servicer& servicer = *shards_[s].servicer;
+    const auto index = static_cast<std::uint32_t>(s);
+    for (std::size_t k = 0; k < n; ++k) {
+      const Command& cmd = command_at(k);
+      if (cmd.kind == CommandKind::kFlush) continue;
+      const Start& start = starts_[k];
+      const std::uint32_t k0 = landing_offset(index, start.shard, shard_n);
+      if (!lands(cmd, k0)) continue;
+      ServiceCost& cost = costs_[k * shard_n + s];
+      cost = ServiceCost{};
+      if (cmd.pages == 0) continue;
+      // This shard's pages of the range are global offsets k0, k0 +
+      // shard_n, ... — one contiguous run in local space (each step is
+      // one local page), so the whole landing is a single local
+      // sub-command the servicer wraps internally.
+      Command local = cmd;
+      std::uint64_t first = start.lpn + k0;
+      if (first >= logical) first -= logical;
+      local.lpn = first / shard_n;
+      local.pages = static_cast<std::uint32_t>(
+          (std::uint64_t{cmd.pages} - k0 + shard_n - 1) / shard_n);
+      cost = servicer.service(local);
+    }
+  });
+}
+
 void Device::pump(bool force) {
   const std::vector<Submitted> pending = take_pending(force);
   if (pending.empty()) return;
 
-  // Service in flush-separated segments: within a segment the shards run
-  // concurrently and never wait for each other; each flush is a
-  // cross-shard barrier handled on the coordinating thread. The new
-  // records go straight behind the (sorted) held ones.
+  // The new records go straight behind the (sorted) held ones, in
+  // service order; each flush is a barrier at its place in that order.
   const std::size_t held_before = held_.size();
   held_.reserve(held_before + pending.size());
-  std::size_t i = 0;
-  while (i < pending.size()) {
-    if (pending[i].command.kind == CommandKind::kFlush) {
-      held_.push_back(service_flush(pending[i]));
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < pending.size() &&
-           pending[j].command.kind != CommandKind::kFlush)
-      ++j;
-    service_segment(pending, i, j, &held_);
-    i = j;
-  }
+  service_physics(pending.size(), [&](std::size_t k) -> const Command& {
+    return pending[k].command;
+  });
+  for (std::size_t k = 0; k < pending.size(); ++k)
+    held_.push_back(service_timing(pending[k], k));
 
   const auto fresh = held_.begin() + static_cast<std::ptrdiff_t>(held_before);
   // Sort only the new run (a one-shard FIFO drive already produces it in
@@ -271,83 +320,91 @@ void Device::pump(bool force) {
                      fresh, held_.end(), completion_log_order);
 }
 
-void Device::service_segment(const std::vector<Submitted>& pending,
-                             std::size_t begin, std::size_t end,
-                             std::vector<Completion>* out) {
-  const std::size_t n = end - begin;
+Completion Device::service_timing(const Submitted& sub, std::size_t k) {
+  if (sub.command.kind == CommandKind::kFlush) return service_flush(sub);
   const std::uint32_t shard_n = shard_count();
-  const std::uint64_t logical = logical_pages();
-  // De-stripe each command once: its first page wrapped into the logical
-  // space, and the shard that page lives on.
-  starts_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t wrapped = pending[begin + k].command.lpn % logical;
-    starts_[k] = {wrapped, static_cast<std::uint32_t>(wrapped % shard_n)};
-  }
-  // Every shard writes its slot of every command, so nothing needs
-  // clearing between segments.
-  if (sub_results_.size() < n * shard_n) sub_results_.resize(n * shard_n);
-
-  pool_.for_each(shard_n, [&](std::size_t s) {
+  const std::uint32_t first_shard = starts_[k].shard;
+  Completion rec = completion_for(sub.id, sub.command);
+  double start = std::numeric_limits<double>::infinity();
+  double complete = 0.0;
+  double stall = 0.0;
+  for (std::uint32_t s = 0; s < shard_n; ++s) {
+    if (!lands(sub.command, landing_offset(s, first_shard, shard_n)))
+      continue;
+    const ServiceCost& cost = costs_[k * shard_n + s];
     Shard& shard = shards_[s];
-    const auto index = static_cast<std::uint32_t>(s);
-    for (std::size_t k = 0; k < n; ++k) {
-      const Command& cmd = pending[begin + k].command;
-      const Start& start = starts_[k];
-      // This shard's pages of the range are global offsets k0, k0 +
-      // shard_n, ... — one contiguous run in local space (each step is
-      // one local page), so the whole landing is a single local
-      // sub-command the servicer wraps internally.
-      const std::uint32_t k0 = index >= start.shard
-                                   ? index - start.shard
-                                   : index + shard_n - start.shard;
-      SubResult& r = sub_results_[k * shard_n + s];
-      // A zero-page command still completes exactly once, as a zero-cost
-      // record on the shard that owns its lpn.
-      r.present = cmd.pages == 0 ? k0 == 0 : k0 < cmd.pages;
-      if (!r.present) continue;
-      ServiceCost cost;
-      if (cmd.pages > 0) {
-        Command local = cmd;
-        std::uint64_t first = start.lpn + k0;
-        if (first >= logical) first -= logical;
-        local.lpn = first / shard_n;
-        local.pages = static_cast<std::uint32_t>(
-            (std::uint64_t{cmd.pages} - k0 + shard_n - 1) / shard_n);
-        cost = shard.servicer->service(local);
-      }
-      const FlashTimeline::Slot slot =
-          shard.timeline.schedule(cmd.submit_time_s, cost);
-      r.start_s = slot.start_s;
-      r.complete_s = slot.complete_s;
-      r.stall_s = cost.stall_s + slot.bg_overlap_s;
-      r.status = cost.status;
-      r.error_pages = cost.error_pages;
-      shard.stall_seconds += r.stall_s;
-    }
+    const FlashTimeline::Slot slot =
+        shard.timeline.schedule(sub.command.submit_time_s, cost);
+    const double stall_s = cost.stall_s + slot.bg_overlap_s;
+    shard.stall_seconds += stall_s;
+    start = std::min(start, slot.start_s);
+    complete = std::max(complete, slot.complete_s);
+    stall += stall_s;
+    rec.status = worst_status(rec.status, cost.status);
+    rec.error_pages += cost.error_pages;
+  }
+  rec.service_start_s = start;
+  rec.complete_time_s = complete;
+  rec.stall_s = stall;
+  stats_.add(rec);
+  return rec;
+}
+
+double Device::run_closed_loop(const std::vector<Command>& commands,
+                               std::size_t depth, double release_s,
+                               std::vector<Completion>* sink) {
+  // Slots count only this batch's commands, so anything already in
+  // flight would overfill the queue and reach the sink.
+  if (outstanding() != 0)
+    throw std::logic_error(
+        "host::Device::run_closed_loop: commands are still outstanding");
+  const std::size_t n = commands.size();
+  if (n == 0) return release_s;
+  const std::size_t w = std::min(std::max<std::size_t>(1, depth), n);
+
+  // The first window is co-pending at one stamp, so it is serviced in
+  // the pump's service order (its keys are computable now, deadline ones
+  // too); every later command is submitted into a freed slot and
+  // serviced on its own, in submission order. So every shard's service
+  // order is known before any later stamp is, and the physics of the
+  // whole batch runs first.
+  for (std::size_t k = 0; k < w; ++k) {
+    Command c = commands[k];
+    c.submit_time_s = release_s;
+    submit(c);
+  }
+  const std::vector<Submitted> window = take_pending(/*force=*/true);
+  service_physics(n, [&](std::size_t k) -> const Command& {
+    return k < w ? window[k].command : commands[k];
   });
 
-  for (std::size_t k = 0; k < n; ++k) {
-    const Submitted& sub = pending[begin + k];
-    Completion rec = completion_for(sub.id, sub.command);
-    double start = std::numeric_limits<double>::infinity();
-    double complete = 0.0;
-    double stall = 0.0;
-    for (std::uint32_t s = 0; s < shard_n; ++s) {
-      const SubResult& r = sub_results_[k * shard_n + s];
-      if (!r.present) continue;
-      start = std::min(start, r.start_s);
-      complete = std::max(complete, r.complete_s);
-      stall += r.stall_s;
-      rec.status = worst_status(rec.status, r.status);
-      rec.error_pages += r.error_pages;
-    }
-    rec.service_start_s = start;
-    rec.complete_time_s = complete;
-    rec.stall_s = stall;
-    stats_.add(rec);
-    out->push_back(rec);
+  // Timing, serially: the window in service order, then one command per
+  // freed slot. in_flight_ is a min-heap in completion_log_order.
+  const auto later = [](const Completion& a, const Completion& b) {
+    return completion_log_order(b, a);
+  };
+  in_flight_.clear();
+  for (std::size_t k = 0; k < w; ++k)
+    in_flight_.push_back(service_timing(window[k], k));
+  // Sorted ascending is already a valid heap under `later`.
+  std::sort(in_flight_.begin(), in_flight_.end(), completion_log_order);
+  if (sink != nullptr)
+    sink->insert(sink->end(), in_flight_.begin(), in_flight_.end());
+  for (std::size_t k = w; k < n; ++k) {
+    std::pop_heap(in_flight_.begin(), in_flight_.end(), later);
+    release_s = in_flight_.back().complete_time_s;
+    in_flight_.pop_back();
+    Command c = commands[k];
+    c.submit_time_s = release_s;
+    in_flight_.push_back(service_timing(admit(c), k));
+    ++submitted_;
+    if (sink != nullptr) sink->push_back(in_flight_.back());
+    std::push_heap(in_flight_.begin(), in_flight_.end(), later);
   }
+  for (const Completion& rec : in_flight_)
+    release_s = std::max(release_s, rec.complete_time_s);
+  delivered_ += n;
+  return release_s;
 }
 
 Completion Device::service_flush(const Submitted& sub) {

@@ -21,17 +21,25 @@
 // chip: block = local lpn / pages_per_block, LSB/MSB interleaved along
 // the wordlines; see chip_servicer.h).
 //
-// Scheduling. Each shard owns an independent flash timeline: a command's
-// per-shard portion starts at max(submit time, that shard's free time)
-// and the shards never wait for each other — except at a flush, which is
-// a cross-shard barrier (it completes when every shard finished all
-// earlier work, and every shard's timeline advances to that point). A
-// command's completion record combines its per-shard slots: service
-// start is the earliest shard start, completion the latest shard
-// completion, and stall the sum of the per-shard attributed stalls
-// (which is also how the per-shard ledgers sum to the device total). The
-// shards of one flush-free run are serviced concurrently on a
-// common/thread_pool.h ThreadPool.
+// Servicing has two halves. The physics half de-stripes each command
+// and runs its per-shard sub-commands through the servicers, one pool
+// task per shard, recording each landing's ServiceCost; it reads no
+// clock, since a servicer's cost depends only on the order of the
+// commands before it on its shard. The timing half places those costs
+// on the shards' timelines in service order: each shard owns an
+// independent flash timeline, a command's per-shard portion starts at
+// max(submit time, that shard's free time), and the shards never wait
+// for each other — except at a flush, which is a cross-shard barrier (it
+// completes when every shard finished all earlier work, and every
+// shard's timeline advances to that point) and which the physics half
+// skips. A command's completion record combines its per-shard slots:
+// service start is the earliest shard start, completion the latest
+// shard completion, and stall the sum of the per-shard attributed
+// stalls (which is also how the per-shard ledgers sum to the device
+// total). Every pump runs physics over everything it took, then timing.
+// run_closed_loop() runs physics over a whole closed-loop batch up
+// front — its per-shard order is fixed before any stamp is known — and
+// then timing serially as each freed slot yields the next stamp.
 //
 // Arbitration. Which pending command is serviced next is decided by the
 // ArbitrationConfig (arbitration.h). Under the default FIFO policy
@@ -154,6 +162,21 @@ class Device {
   /// Drains every pending completion into `out`; returns the count.
   std::size_t drain(std::vector<Completion>* out);
 
+  /// Closed-loop (zero think time) replay of one batch at queue depth
+  /// `depth` (0 counts as 1): at most `depth` commands are in flight, the
+  /// first window is stamped `release_s`, and each later command is
+  /// stamped with the completion that freed its slot — the earliest one
+  /// in flight, in completion_log_order. The caller's stamps are
+  /// ignored. Every record is added to the statistics and, when `sink` is
+  /// non-null, appended to it: the first window in log order, then each
+  /// later record in submission order. Returns the clock for the next
+  /// batch, the later of `release_s` and the batch's last completion.
+  /// The device must be quiet — std::logic_error while any command is
+  /// outstanding — and is quiet again afterwards.
+  double run_closed_loop(const std::vector<Command>& commands,
+                         std::size_t depth, double release_s,
+                         std::vector<Completion>* sink);
+
   /// Runs each shard's nightly maintenance (refresh, reclaim, tuning,
   /// retention aging) after servicing everything queued; the flash busy
   /// time it consumes occupies the next free window of that shard's
@@ -253,24 +276,15 @@ class Device {
     double stall_seconds = 0.0;
   };
 
-  /// One command's landing on one shard.
-  struct SubResult {
-    double start_s = 0.0;
-    double complete_s = 0.0;
-    double stall_s = 0.0;
-    std::uint32_t error_pages = 0;
-    Status status = Status::kOk;
-    bool present = false;  ///< False: the command has no page here.
-  };
-
   /// A command's first page, wrapped into the logical space, and its shard.
   struct Start {
     std::uint64_t lpn = 0;
     std::uint32_t shard = 0;
   };
 
-  /// The deterministic service order: (epoch, key, tenant, id). Total —
-  /// ids are unique — and under FIFO identical to id order.
+  /// The deterministic service order of the reordering policies: (epoch,
+  /// key, tenant, id). Total — ids are unique. FIFO does not sort: its
+  /// service order is id order (take_pending).
   static bool arbitration_order(const Submitted& a, const Submitted& b);
 
   /// True when no future submission could precede `sub` in the service
@@ -293,13 +307,23 @@ class Device {
   /// position is final.
   void release_ready();
 
-  /// Services pending[begin, end) — a flush-free run — across the shards
-  /// on the pool, then merges the per-shard slots into one Completion per
-  /// command, added to the statistics and appended to `out` in service
-  /// order.
-  void service_segment(const std::vector<Submitted>& pending,
-                       std::size_t begin, std::size_t end,
-                       std::vector<Completion>* out);
+  /// submit()'s bookkeeping, shared with run_closed_loop: maps queue and
+  /// tenant into range, assigns the id, flush epoch and arbitration key,
+  /// and clamps the submit stamp. The command is not queued.
+  Submitted admit(const Command& command);
+
+  /// Physics half: de-stripes commands [0, n) — command_at(k), in service
+  /// order — and services every landing on its shard's servicer, one pool
+  /// task per shard, into costs_. Flushes carry no physics and are
+  /// skipped.
+  template <typename CommandAt>
+  void service_physics(std::size_t n, const CommandAt& command_at);
+
+  /// Timing half for the k-th command of the last physics pass: schedules
+  /// its landings' costs on their shards' timelines at its submit stamp,
+  /// books the stalls, merges the slots into one record and adds it to
+  /// the statistics. A flush is the cross-shard barrier (service_flush).
+  Completion service_timing(const Submitted& sub, std::size_t k);
 
   /// Cross-shard barrier: completes when every shard finished all earlier
   /// work; every shard's timeline advances to the barrier. The returned
@@ -326,9 +350,13 @@ class Device {
   /// release_ready() finds their position final.
   std::vector<Completion> held_;
   std::size_t released_ = 0;
-  /// Per-segment scratch: sub_results_[cmd * shards + shard], starts_[cmd].
-  std::vector<SubResult> sub_results_;
+  /// Physics scratch, reused across passes: costs_[cmd * shards + shard]
+  /// (written only where the command lands) and starts_[cmd].
+  std::vector<ServiceCost> costs_;
   std::vector<Start> starts_;
+  /// run_closed_loop scratch: the in-flight records, a min-heap in
+  /// completion_log_order.
+  std::vector<Completion> in_flight_;
 };
 
 }  // namespace rdsim::host

@@ -1,14 +1,14 @@
 // rdsim/host/driver.h
 //
 // Host-side driving patterns shared by the QoS experiments, the
-// benchmark, the examples, and the tests — so the subtle parts (slot
-// accounting, submit-time re-stamping, warm-up hygiene) exist exactly
-// once.
+// benchmark, the examples, and the tests: warm-up hygiene (warm_fill),
+// fixed-depth closed-loop replay (ClosedLoopDriver, a handle that carries
+// the clock across batches; the slot accounting and re-stamping live in
+// Device::run_closed_loop) and burst-window replay (BurstWindowDriver).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <vector>
 
 #include "host/device.h"
@@ -41,104 +41,35 @@ inline void warm_fill(Device& device) {
 /// time to the instant a completion freed a slot — the fio-style QD
 /// benchmark pattern. The clock carries across run() calls, so a
 /// multi-day replay with Device::end_of_day() between batches stays
-/// monotone.
-///
-/// In-flight accounting is driver-side, and slots are freed in
-/// completion-time order from a drained buffer: poll() may legitimately
-/// return nothing (records whose log position is not final yet are
-/// withheld), but drain() always delivers, sorted by (complete_time,
-/// submit order) — so the "next completion" that frees a slot is exactly
-/// the earliest one, on every backend. On a one-shard device completions
-/// are already in that order, so the buffering never changes its replay
-/// schedule (or fig_qos's golden).
+/// monotone. The replay itself is Device::run_closed_loop, which knows
+/// each shard's service order before any stamp and so runs the batch's
+/// shard physics in parallel up front; run() must start on a quiet device
+/// (nothing outstanding).
 class ClosedLoopDriver {
  public:
   ClosedLoopDriver(Device& device, int depth)
       : device_(&device),
         depth_(static_cast<std::size_t>(depth < 1 ? 1 : depth)),
-        release_s_(device.now_s()),
-        last_submit_s_(release_s_) {}
+        release_s_(device.now_s()) {}
 
-  /// Optional completion sink: every record the driver drains from the
-  /// device is appended to *sink (in delivery order, each exactly once),
-  /// so callers that need the completion log — the trace replayer's
-  /// latency CDFs — can drive closed-loop without re-polling. nullptr
-  /// (the default) disables it; the replay schedule is unaffected either
-  /// way.
+  /// Optional completion sink: every record of a batch is appended to
+  /// *sink exactly once (the first `depth` in completion_log_order, then
+  /// the rest in submission order), so callers that need the completion
+  /// log — the trace replayer's latency CDFs — can drive closed-loop
+  /// without re-polling. nullptr (the default) disables it; the replay
+  /// schedule is unaffected either way.
   void set_completion_sink(std::vector<Completion>* sink) { sink_ = sink; }
 
-  /// Replays one batch of commands (submit-time stamps are overwritten)
-  /// and absorbs every completion at the end of the batch.
+  /// Replays one batch of commands (submit-time stamps are overwritten);
+  /// every command has completed when it returns.
   void run(const std::vector<Command>& commands) {
-    for (Command c : commands) {
-      if (in_flight_ >= depth_) release_s_ = next_completion_s();
-      c.submit_time_s = std::max(last_submit_s_, release_s_);
-      last_submit_s_ = c.submit_time_s;
-      device_->submit(c);
-      ++in_flight_;
-    }
-    // End of batch: absorb everything still in flight so the next run()
-    // (or end_of_day) starts from a quiet device. Both the local buffer
-    // and the device deliver in completion order, so each back() is the
-    // latest completion it holds.
-    if (next_ < buffer_.size())
-      release_s_ = std::max(release_s_, buffer_.back().complete_time_s);
-    buffer_.clear();
-    device_->drain(&buffer_);
-    if (sink_ != nullptr)
-      sink_->insert(sink_->end(), buffer_.begin(), buffer_.end());
-    if (!buffer_.empty())
-      release_s_ = std::max(release_s_, buffer_.back().complete_time_s);
-    buffer_.clear();
-    next_ = 0;
-    in_flight_ = 0;
+    release_s_ = device_->run_closed_loop(commands, depth_, release_s_, sink_);
   }
 
  private:
-  /// Completion time of the next (earliest) in-flight completion. A
-  /// command submitted since the last drain can complete *earlier* than
-  /// anything still buffered (independent shard timelines), so fresh
-  /// completions are drained and merged before taking the minimum —
-  /// both the device's delivery and the buffer follow
-  /// completion_log_order, so the buffer stays a sorted queue holding at
-  /// most ~depth unconsumed records. On a one-shard device fresh
-  /// records always sort after the buffered tail, so the merge
-  /// degenerates to an append.
-  double next_completion_s() {
-    fresh_.clear();
-    device_->drain(&fresh_);
-    if (sink_ != nullptr)
-      sink_->insert(sink_->end(), fresh_.begin(), fresh_.end());
-    if (!fresh_.empty()) {
-      if (next_ > 0) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(next_));
-        next_ = 0;
-      }
-      if (buffer_.empty() ||
-          !completion_log_order(fresh_.front(), buffer_.back())) {
-        buffer_.insert(buffer_.end(), fresh_.begin(), fresh_.end());
-      } else {
-        const auto mid = static_cast<std::ptrdiff_t>(buffer_.size());
-        buffer_.insert(buffer_.end(), fresh_.begin(), fresh_.end());
-        std::inplace_merge(buffer_.begin(), buffer_.begin() + mid,
-                           buffer_.end(), completion_log_order);
-      }
-    }
-    const double t = buffer_[next_].complete_time_s;
-    ++next_;
-    --in_flight_;
-    return t;
-  }
-
   Device* device_;
   std::size_t depth_;
   double release_s_;
-  double last_submit_s_;
-  std::size_t in_flight_ = 0;
-  std::vector<Completion> buffer_;
-  std::vector<Completion> fresh_;
-  std::size_t next_ = 0;
   std::vector<Completion>* sink_ = nullptr;
 };
 
@@ -161,7 +92,8 @@ class BurstWindowDriver {
         window_(static_cast<std::size_t>(window < 1 ? 1 : window)),
         clock_s_(device.now_s()) {}
 
-  /// Optional completion sink, same contract as ClosedLoopDriver's.
+  /// Optional completion sink: every record is appended exactly once,
+  /// window by window, each window in completion_log_order.
   void set_completion_sink(std::vector<Completion>* sink) { sink_ = sink; }
 
   /// Replays one batch of commands (submit-time stamps are overwritten

@@ -17,9 +17,13 @@
 //     wrapping each page modulo logical_pages() (the caller de-stripes a
 //     global command into one contiguous local range per shard, so a
 //     one-shard device hands its servicer the global command verbatim).
-//   * service() is deterministic: simulated clocks and seeded RNG only,
-//     so the merged completion log stays a pure function of the
-//     submission stream for any worker count.
+//   * service() is deterministic: seeded RNG only, and it reads only the
+//     command's kind, lpn and pages — never its submit stamp or any
+//     clock — so a command's cost depends only on the commands serviced
+//     before it on this shard. The merged completion log stays a pure
+//     function of the submission stream for any worker count, and the
+//     device may run a closed-loop batch's physics before its stamps
+//     are known.
 //   * end_of_day() runs the backend's nightly maintenance and returns
 //     the flash busy seconds it consumed; the device reserves the
 //     shard's timeline for them (0.0 = maintenance costs no flash time,

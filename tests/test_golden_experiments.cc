@@ -64,10 +64,10 @@ struct GoldenEntry {
 // fig_qos held byte-identical).
 // PR 5 added fig_qos_mc (the sharded Monte Carlo drive) and kept every
 // existing hash unchanged: the Device facade split, the FlashTimeline
-// extraction, and the ClosedLoopDriver buffering are all bit-transparent
-// for single-timeline backends (the driver's merge-before-pop slot
-// accounting only matters when shard completion times interleave, which
-// a single flash timeline cannot produce).
+// extraction, and closed-loop slots freed in completion-log order are
+// all bit-transparent for single-timeline backends (that order only
+// differs from submission order when shard completion times interleave,
+// which a single flash timeline cannot produce).
 // PR 6 added scenario (the config-driven replay, pinned on its default
 // paper-mlc profile) and kept every existing hash unchanged: the
 // Servicer generalization of the sharded device and the make_device port of
@@ -82,8 +82,8 @@ struct GoldenEntry {
 // PR 8 added fig_trace_replay (the MSR sample trace through the replay
 // subsystem, both backends and disciplines, pinned to the checked-in
 // tests/data file) and kept every existing hash unchanged: trace replay
-// is off by default in scenario, and the ClosedLoopDriver completion
-// sink is bit-transparent when unset.
+// is off by default in scenario, and the closed-loop completion sink is
+// bit-transparent when unset.
 // PR 9 added fig_fleet (the fleet lifetime runner with checkpoint/
 // resume) and kept every existing hash unchanged: the fleet layer sits
 // above the unchanged Ssd/Ftl simulation, the Ftl snapshot gained a
@@ -95,6 +95,10 @@ struct GoldenEntry {
 // bit-transparent (keys are constant, the sorted service order is the
 // submission order, and nothing is ever withheld from service), and no
 // pre-existing run configures a [tenants] section.
+// Closed-loop replay runs a batch's shard physics ahead of its timing
+// (Device::run_closed_loop) and every hash holds: the per-shard service
+// order, the stamps and the statistics order equal a drain-per-slot
+// driver's, which tests/test_closed_loop.cc checks record by record.
 constexpr GoldenEntry kGolden[] = {
     {"fig_fleet", 0x94E36796},
     {"fig_qos_tenants", 0xA506CF6E},

@@ -10,13 +10,15 @@
 //   5. open- and closed-loop replay produce deterministic completion
 //      logs — byte-identical across runs and worker counts;
 //   6. the ClosedLoopDriver completion sink sees every record exactly
-//      once, and the LatencyTracker windows by simulated time.
+//      once, the driver refuses to start on a device with commands still
+//      outstanding, and the LatencyTracker windows by simulated time.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -388,6 +390,33 @@ TEST(ClosedLoopDriver, SinkSeesEveryCompletionExactlyOnce) {
   for (const auto& c : sunk)
     EXPECT_TRUE(seen.insert(c.id).second)
         << "duplicate completion id " << c.id;
+}
+
+TEST(ClosedLoopDriver, RefusesToStartOnABusyDevice) {
+  // The driver's slots count only its own commands: commands already
+  // outstanding would overfill the queue and reach the sink, so run()
+  // refuses them and leaves the device untouched.
+  const std::unique_ptr<host::Device> device =
+      host::make_device(tiny_analytic(), 1);
+  host::warm_fill(*device);
+  host::Command read;
+  read.lpn = 3;
+  device->submit(read);
+  read.lpn = 5;
+  device->submit(read);
+  host::ClosedLoopDriver driver(*device, 1);
+  std::vector<host::Completion> sunk;
+  driver.set_completion_sink(&sunk);
+  const std::vector<host::Command> batch(8, read);
+  EXPECT_THROW(driver.run(batch), std::logic_error);
+  EXPECT_TRUE(sunk.empty());
+  EXPECT_EQ(device->outstanding(), 2u);
+  // Once drained, the same batch runs and sinks exactly its own records.
+  std::vector<host::Completion> early;
+  EXPECT_EQ(device->drain(&early), 2u);
+  driver.run(batch);
+  EXPECT_EQ(sunk.size(), batch.size());
+  EXPECT_EQ(device->outstanding(), 0u);
 }
 
 TEST(LatencyTracker, WindowsBySimulatedTimeFromOrigin) {

@@ -276,23 +276,31 @@ TEST(ShardedChips, QueuedReadsObserveDisturbOnTheHammeredShardOnly) {
 TEST(ShardedChips, ClosedLoopDriverReplaysAtDepth) {
   // The reworked driver must keep a sharded device busy at depth > 1 and
   // leave nothing in flight afterwards; deeper queues finish no later
-  // ... and the replay is deterministic across worker counts.
+  // ... and the replay is deterministic across worker counts, down to
+  // every sinked record.
   const auto params = flash::FlashModelParams::default_2ynm();
   std::vector<Command> stream;
-  auto replay = [&](int workers, int depth) {
+  auto replay = [&](int workers, int depth, std::string* log) {
     Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/4),
                   workers, /*queue_count=*/4);
     if (stream.empty())
       stream = mixed_stream(device.logical_pages(), 4, 33);
     ClosedLoopDriver driver(device, depth);
+    std::vector<Completion> sunk;
+    driver.set_completion_sink(&sunk);
     driver.run(stream);
     EXPECT_EQ(device.outstanding(), 0u);
+    *log = log_of(sunk);
     return device.stats().iops();
   };
-  const double qd1 = replay(1, 1);
-  const double qd8 = replay(1, 8);
+  std::string log1;
+  std::string log8;
+  std::string log8_w4;
+  const double qd1 = replay(1, 1, &log1);
+  const double qd8 = replay(1, 8, &log8);
   EXPECT_GT(qd8, qd1);  // Parallel chips: depth raises throughput.
-  EXPECT_DOUBLE_EQ(replay(4, 8), qd8);
+  EXPECT_DOUBLE_EQ(replay(4, 8, &log8_w4), qd8);
+  EXPECT_EQ(log8_w4, log8);
 }
 
 TEST(ShardedChips, RejectsAnEmptyOrNullShard) {
