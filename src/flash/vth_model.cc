@@ -3,12 +3,42 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "common/stats.h"
 #include "flash/vmath.h"
 
 namespace rdsim::flash {
 namespace {
+
+/// exp(-B * v) rounded to float: the disturb factor every sense path and
+/// apply_disturb evaluate with this one expression, so scalar, batch and
+/// incremental senses agree bit for bit.
+inline double disturb_factor(double b, double v) {
+  return static_cast<double>(static_cast<float>(vmath::vexp(-b * v)));
+}
+
+/// retention_shift() applied to v0, with log1p(days/tau) and the wear
+/// factor hoisted into the coefficients. sqrt(max(h,0)) + select keeps the
+/// erased-cell guard branch-free without ever taking sqrt of a negative.
+template <bool kRet>
+inline double retained_vth(const FlashModelParams& p,
+                           const VthModel::SenseCoeffs& c, double v0,
+                           double leak_rate) {
+  if constexpr (!kRet) return v0;
+  const double headroom = v0 - p.states[0].mean;
+  const double shift =
+      -p.ret_coeff * std::sqrt(std::max(headroom, 0.0)) * c.ret_l * c.ret_w;
+  return v0 + leak_rate * (headroom > 0.0 ? shift : 0.0);
+}
+
+/// apply_disturb() of a cell at v with disturb factor e.
+inline double disturbed_vth(const FlashModelParams& p,
+                            const VthModel::SenseCoeffs& c, double v, double e,
+                            double susceptibility) {
+  const double y = p.disturb_a * susceptibility * p.disturb_b * c.dose * e;
+  return v + vmath::vlog1p(y) / p.disturb_b;
+}
 
 /// Per-cell sense arithmetic shared by every scalar and batched entry
 /// point. The retention/disturb stages are compile-time flags so the four
@@ -18,42 +48,142 @@ namespace {
 template <bool kDose, bool kRet>
 inline double present_cell(const FlashModelParams& p,
                            const VthModel::SenseCoeffs& c, double v0,
-                           double seed, double susceptibility,
-                           double leak_rate) {
-  double v = v0;
-  if constexpr (kRet) {
-    // retention_shift(), with log1p(days/tau) and the wear factor hoisted
-    // into the coefficients. sqrt(max(h,0)) + select keeps the erased-cell
-    // guard branch-free without ever taking sqrt of a negative.
-    const double headroom = v0 - p.states[0].mean;
-    const double shift =
-        -p.ret_coeff * std::sqrt(std::max(headroom, 0.0)) * c.ret_l * c.ret_w;
-    v = v0 + leak_rate * (headroom > 0.0 ? shift : 0.0);
-  }
-  if constexpr (kDose) {
-    // apply_disturb(), reusing the cached exp(-B*v0) when no retention
-    // moved the cell. The exponential is float-rounded like the cache so
-    // the cached and recomputed paths stay bit-identical.
-    const double e =
-        kRet ? static_cast<double>(
-                   static_cast<float>(vmath::vexp(-p.disturb_b * v)))
-             : seed;
-    const double y = p.disturb_a * susceptibility * p.disturb_b * c.dose * e;
-    v = v + vmath::vlog1p(y) / p.disturb_b;
-  }
-  return v;
+                           double susceptibility, double leak_rate) {
+  const double v = retained_vth<kRet>(p, c, v0, leak_rate);
+  if constexpr (!kDose) return v;
+  return disturbed_vth(p, c, v, disturb_factor(p.disturb_b, v),
+                       susceptibility);
 }
 
 template <bool kDose, bool kRet>
 void present_batch(const FlashModelParams& p, const VthModel::SenseCoeffs& c,
                    const CellSoaView& cells, double* out) {
-  for (std::size_t i = 0; i < cells.n; ++i) {
-    out[i] = present_cell<kDose, kRet>(
-        p, c, static_cast<double>(cells.v0[i]),
-        static_cast<double>(cells.disturb_seed[i]),
+  const std::size_t n = cells.n;
+  if constexpr (kDose) {
+    // Two passes, the float-rounded disturb factor staged in out (exactly:
+    // it is a float) and then the disturb itself. Fused, vexp and vlog1p
+    // run out of vector registers and the row takes about a quarter
+    // longer; the result is present_cell's bit for bit either way.
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = disturb_factor(p.disturb_b,
+                              retained_vth<kRet>(p, c, cells.v0[i],
+                                                 cells.leak_rate[i]));
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = disturbed_vth(
+          p, c, retained_vth<kRet>(p, c, cells.v0[i], cells.leak_rate[i]),
+          out[i], cells.susceptibility[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = retained_vth<kRet>(p, c, cells.v0[i], cells.leak_rate[i]);
+  }
+}
+
+/// Per-wordline constants of the crossing computation: exp(B * (R - guard))
+/// for each read reference R.
+struct CrossingRefs {
+  double k[3];
+};
+
+CrossingRefs crossing_refs(const FlashModelParams& p) {
+  const double g = VthModel::kCrossingGuardVth;
+  return {{std::exp(p.disturb_b * (p.vref_a - g)),
+           std::exp(p.disturb_b * (p.vref_b - g)),
+           std::exp(p.disturb_b * (p.vref_c - g))}};
+}
+
+/// Senses one cell exactly (present_cell, then classify) and returns its
+/// crossing-row entry. V(D) = v_r + ln(1 + A*s*B*D*e)/B reaches R - guard
+/// at D = (exp(B*(R - guard))*e - 1) / (A*s*B*e) with e = exp(-B*v_r);
+/// the entry is that dose for the next reference up, shrunk by the
+/// relative guard. A cell within the guard of any reference (or whose
+/// crossing dose is not positive) gets -FLT_MAX, so every later sense
+/// re-evaluates it even at a dose that rounded down; a P3 cell that is
+/// clear of Vc never crosses (FLT_MAX, not +inf: packing the state into
+/// +inf's mantissa would make a NaN).
+template <bool kDose, bool kRet>
+inline float sense_cell(const FlashModelParams& p,
+                        const VthModel::SenseCoeffs& c, const CrossingRefs& r,
+                        double v0, double susceptibility, double leak_rate) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  const double g = VthModel::kCrossingGuardVth;
+  const double vr = retained_vth<kRet>(p, c, v0, leak_rate);
+  const double e = disturb_factor(p.disturb_b, vr);
+  const double v = kDose ? disturbed_vth(p, c, vr, e, susceptibility) : vr;
+  const std::uint32_t state = static_cast<std::uint32_t>(v >= p.vref_a) +
+                              static_cast<std::uint32_t>(v >= p.vref_b) +
+                              static_cast<std::uint32_t>(v >= p.vref_c);
+  const double k = state == 0 ? r.k[0] : (state == 1 ? r.k[1] : r.k[2]);
+  double dose = (k * e - 1.0) /
+                (p.disturb_a * susceptibility * p.disturb_b * e) *
+                (1.0 - VthModel::kCrossingGuardRel);
+  dose = state == 3 ? kMax : std::min(dose, kMax);
+  dose = dose > 0.0 ? dose : -kMax;  // Also catches a NaN.
+  // Distance to the nearest reference as a min chain, not ||: the selects
+  // stay branch-free, so the first-sense loop vectorizes.
+  const double nearest = std::min(
+      std::min(std::fabs(v - p.vref_a), std::fabs(v - p.vref_b)),
+      std::fabs(v - p.vref_c));
+  dose = nearest < g ? -kMax : dose;
+  const auto bits = std::bit_cast<std::uint32_t>(static_cast<float>(dose));
+  return std::bit_cast<float>((bits & ~3U) | state);
+}
+
+template <bool kDose, bool kRet>
+void sense_first(const FlashModelParams& params,
+                 const VthModel::SenseCoeffs& coeffs, const CellSoaView& cells,
+                 float* cross, std::uint8_t* states) {
+  // Local copies of everything the loop reads through a reference: the
+  // byte stores to states may alias any of it, which would otherwise
+  // reload it per cell and keep the loop from vectorizing.
+  const FlashModelParams p = params;
+  const VthModel::SenseCoeffs c = coeffs;
+  const CrossingRefs r = crossing_refs(p);
+  const std::size_t n = cells.n;
+  const float* v0 = cells.v0;
+  const float* susceptibility = cells.susceptibility;
+  const float* leak_rate = cells.leak_rate;
+  for (std::size_t i = 0; i < n; ++i) {
+    cross[i] = sense_cell<kDose, kRet>(p, c, r, static_cast<double>(v0[i]),
+                                       static_cast<double>(susceptibility[i]),
+                                       static_cast<double>(leak_rate[i]));
+    states[i] = VthModel::crossing_state(cross[i]);
+  }
+}
+
+template <bool kDose, bool kRet>
+void resense(const FlashModelParams& p, const VthModel::SenseCoeffs& c,
+             const CellSoaView& cells, float* cross, std::uint8_t* states) {
+  // One vectorized pass: unpack every state and count the cells whose
+  // crossing dose was reached; usually there are none.
+  const std::size_t n = cells.n;
+  std::size_t crossed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    states[i] = VthModel::crossing_state(cross[i]);
+    crossed +=
+        static_cast<std::size_t>(c.dose >= static_cast<double>(cross[i]));
+  }
+  if (crossed == 0) return;
+  const CrossingRefs r = crossing_refs(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(c.dose >= static_cast<double>(cross[i]))) continue;
+    cross[i] = sense_cell<kDose, kRet>(
+        p, c, r, static_cast<double>(cells.v0[i]),
         static_cast<double>(cells.susceptibility[i]),
         static_cast<double>(cells.leak_rate[i]));
+    states[i] = VthModel::crossing_state(cross[i]);
   }
+}
+
+/// Calls fn.template operator()<kDose, kRet>() for the coefficients'
+/// regime, so each of the four gets its own branch-free instantiation.
+template <typename Fn>
+decltype(auto) dispatch(const VthModel::SenseCoeffs& c, Fn&& fn) {
+  if (c.has_dose) {
+    if (c.has_ret) return fn.template operator()<true, true>();
+    return fn.template operator()<true, false>();
+  }
+  if (c.has_ret) return fn.template operator()<false, true>();
+  return fn.template operator()<false, false>();
 }
 
 }  // namespace
@@ -183,11 +313,11 @@ double VthModel::apply_disturb(double v0, double susceptibility,
   // V(D) = (1/B) ln(exp(B V0) + A B D); evaluate via the shift form to stay
   // numerically stable for large V0:
   //   V - V0 = (1/B) ln(1 + A B D exp(-B V0)).
-  // The exponential carries float precision — it is the value the sense
-  // kernel caches per cell (disturb_seed), and present_vth must remain the
-  // exact composition of retention_shift and this function.
+  // The exponential carries float precision like every sense path's
+  // (disturb_factor), so present_vth stays the exact composition of
+  // retention_shift and this function.
   const double y = params_.disturb_a * susceptibility * b * dose *
-                   static_cast<double>(disturb_seed(v0));
+                   disturb_factor(b, v0);
   return v0 + vmath::vlog1p(y) / b;
 }
 
@@ -199,13 +329,11 @@ void VthModel::disturb_shift_batch(const double* v, std::size_t n,
   }
   // apply_disturb's arithmetic with susceptibility 1 (a * 1 == a exactly)
   // and the page-invariant product hoisted: it associates left to right
-  // there too, so k * seed rounds identically.
+  // there too, so k * e rounds identically.
   const double b = params_.disturb_b;
   const double k = params_.disturb_a * b * dose;
   for (std::size_t i = 0; i < n; ++i) {
-    const double seed =
-        static_cast<double>(static_cast<float>(vmath::vexp(-b * v[i])));
-    out[i] = (v[i] + vmath::vlog1p(k * seed) / b) - v[i];
+    out[i] = (v[i] + vmath::vlog1p(k * disturb_factor(b, v[i])) / b) - v[i];
   }
 }
 
@@ -218,10 +346,6 @@ double VthModel::retention_shift(double v0, double days,
   const double wear = 1.0 + pe_cycles / params_.ret_wear_pe;
   return -params_.ret_coeff * std::sqrt(headroom) *
          std::log1p(days / params_.ret_tau_days) * wear;
-}
-
-float VthModel::disturb_seed(double v0) const {
-  return static_cast<float>(vmath::vexp(-params_.disturb_b * v0));
 }
 
 VthModel::SenseCoeffs VthModel::sense_coeffs(double dose, double days,
@@ -241,44 +365,42 @@ VthModel::SenseCoeffs VthModel::sense_coeffs(double dose, double days,
 void VthModel::present_vth_batch(const CellSoaView& cells,
                                  const SenseCoeffs& coeffs,
                                  double* out) const {
-  if (coeffs.has_dose) {
-    if (coeffs.has_ret)
-      present_batch<true, true>(params_, coeffs, cells, out);
-    else
-      present_batch<true, false>(params_, coeffs, cells, out);
-  } else {
-    if (coeffs.has_ret)
-      present_batch<false, true>(params_, coeffs, cells, out);
-    else
-      present_batch<false, false>(params_, coeffs, cells, out);
-  }
+  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+    present_batch<kDose, kRet>(params_, coeffs, cells, out);
+  });
 }
 
-double VthModel::present_vth_cached(const SenseCoeffs& coeffs, double v0,
-                                    double disturb_seed, double susceptibility,
-                                    double leak_rate) const {
-  if (coeffs.has_dose) {
-    if (coeffs.has_ret)
-      return present_cell<true, true>(params_, coeffs, v0, disturb_seed,
-                                      susceptibility, leak_rate);
-    return present_cell<true, false>(params_, coeffs, v0, disturb_seed,
-                                     susceptibility, leak_rate);
-  }
-  if (coeffs.has_ret)
-    return present_cell<false, true>(params_, coeffs, v0, disturb_seed,
-                                     susceptibility, leak_rate);
-  return present_cell<false, false>(params_, coeffs, v0, disturb_seed,
-                                    susceptibility, leak_rate);
+double VthModel::present_vth_cell(const SenseCoeffs& coeffs, double v0,
+                                  double susceptibility,
+                                  double leak_rate) const {
+  return dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+    return present_cell<kDose, kRet>(params_, coeffs, v0, susceptibility,
+                                     leak_rate);
+  });
+}
+
+void VthModel::sense_first_batch(const CellSoaView& cells,
+                                 const SenseCoeffs& coeffs, float* cross,
+                                 std::uint8_t* states) const {
+  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+    sense_first<kDose, kRet>(params_, coeffs, cells, cross, states);
+  });
+}
+
+void VthModel::resense_batch(const CellSoaView& cells,
+                             const SenseCoeffs& coeffs, float* cross,
+                             std::uint8_t* states) const {
+  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+    resense<kDose, kRet>(params_, coeffs, cells, cross, states);
+  });
 }
 
 double VthModel::present_vth(const CellGroundTruth& cell, double dose,
                              double days, double pe_cycles) const {
-  const SenseCoeffs c = sense_coeffs(dose, days, pe_cycles);
-  return present_vth_cached(
-      c, static_cast<double>(cell.v0),
-      static_cast<double>(disturb_seed(static_cast<double>(cell.v0))),
-      static_cast<double>(cell.susceptibility),
-      static_cast<double>(cell.leak_rate));
+  return present_vth_cell(sense_coeffs(dose, days, pe_cycles),
+                          static_cast<double>(cell.v0),
+                          static_cast<double>(cell.susceptibility),
+                          static_cast<double>(cell.leak_rate));
 }
 
 CellState VthModel::classify(double vth) const {

@@ -8,13 +8,23 @@
 //
 // The chip simulator stores cells as structure-of-arrays and senses whole
 // wordlines at a time: the per-page loop invariants are hoisted once into
-// SenseCoeffs, the per-cell disturb transform exp(-B*v0) is cached
-// (disturb_seed), and present_vth_batch/classify_batch are
-// straight-line loops over contiguous arrays that auto-vectorize. The
-// scalar entry points dispatch to the same per-cell arithmetic, so batch
-// and scalar sensing are bit-identical.
+// SenseCoeffs, and present_vth_batch/classify_batch are straight-line
+// loops over contiguous arrays that auto-vectorize. The scalar entry
+// points dispatch to the same per-cell arithmetic, so batch and scalar
+// sensing are bit-identical.
+//
+// Repeat senses are incremental. Read disturb only raises Vth: with the
+// retention age, wear and ground truth fixed, a cell's present Vth is
+// monotone in dose, so its sensed state can change only once the dose
+// reaches a per-cell crossing dose. sense_first_batch evaluates every
+// cell and records, per cell, its sensed state and a guarded crossing
+// dose (the crossing row, one float per cell); resense_batch then costs
+// one `dose >= cross` compare per cell plus the exact per-cell sense of
+// the few cells past their crossing dose, which it also refreshes. The
+// states equal a full sense bit for bit (tests/test_incremental_sense.cc).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -41,8 +51,6 @@ struct CellSoaView {
   const float* v0;                 ///< Post-program Vth.
   const float* susceptibility;     ///< Disturb multiplier.
   const float* leak_rate;          ///< Retention-leak multiplier.
-  const float* disturb_seed;       ///< exp(-disturb_b * v0), cached on
-                                   ///< first sense (VthModel::disturb_seed).
   std::size_t n;
 };
 
@@ -136,15 +144,9 @@ class VthModel {
   double present_vth(const CellGroundTruth& cell, double dose, double days,
                      double pe_cycles) const;
 
-  /// The cacheable per-cell factor of the disturb law: exp(-B * v0),
-  /// rounded to float (the cache's storage type). Senses at zero retention
-  /// age reuse it instead of re-evaluating the exponential per cell per
-  /// read.
-  float disturb_seed(double v0) const;
-
   /// Page-invariant sense coefficients, hoisted once per wordline. Opaque
-  /// to callers; produced by sense_coeffs() and consumed by the batch/
-  /// cached entry points below.
+  /// to callers; produced by sense_coeffs() and consumed by the batch and
+  /// per-cell entry points below.
   struct SenseCoeffs {
     double dose = 0.0;       ///< Block dose experienced by the wordline.
     double days = 0.0;       ///< Retention age.
@@ -161,11 +163,40 @@ class VthModel {
   void present_vth_batch(const CellSoaView& cells, const SenseCoeffs& coeffs,
                          double* out) const;
 
-  /// Scalar companion of present_vth_batch for one cell with its cached
-  /// disturb seed.
-  double present_vth_cached(const SenseCoeffs& coeffs, double v0,
-                            double disturb_seed, double susceptibility,
-                            double leak_rate) const;
+  /// Scalar companion of present_vth_batch for one cell.
+  double present_vth_cell(const SenseCoeffs& coeffs, double v0,
+                          double susceptibility, double leak_rate) const;
+
+  /// Guard band of the crossing row: a cell within kCrossingGuardVth of a
+  /// read reference is re-sensed exactly at every sense, and every other
+  /// cell's crossing dose is the dose at which it would reach its next
+  /// reference minus kCrossingGuardVth, shrunk by kCrossingGuardRel. Both
+  /// dwarf the few-ulp error of vmath and of the float row.
+  static constexpr double kCrossingGuardVth = 0.01;
+  static constexpr double kCrossingGuardRel = 1e-3;
+
+  /// First sense of a wordline in an epoch (fixed ground truth, retention
+  /// age and wear): writes the sensed state of cells[0..n) to states[0..n)
+  /// (equal to present_vth_batch followed by classify_batch) and fills
+  /// cross[0..n), the crossing row. Each entry is the dose below which
+  /// that cell's state provably cannot change (-FLT_MAX: re-sense always;
+  /// FLT_MAX: never crosses), with the sensed state packed into its two
+  /// low mantissa bits.
+  void sense_first_batch(const CellSoaView& cells, const SenseCoeffs& coeffs,
+                         float* cross, std::uint8_t* states) const;
+
+  /// A later sense of the same epoch at a dose no lower than the one the
+  /// row was built (or last refreshed) at: states come from the row, and
+  /// only the cells whose crossing dose `coeffs.dose` reached are sensed
+  /// again, refreshing their row entries. States equal a full sense.
+  void resense_batch(const CellSoaView& cells, const SenseCoeffs& coeffs,
+                     float* cross, std::uint8_t* states) const;
+
+  /// The state packed into a crossing-row entry (the entry itself is the
+  /// crossing dose, to within the guard band).
+  static std::uint8_t crossing_state(float entry) {
+    return static_cast<std::uint8_t>(std::bit_cast<std::uint32_t>(entry) & 3U);
+  }
 
   /// Branchless batched classification of vth[0..n) against the read
   /// references; out[i] is the CellState as a byte. Identical to classify.

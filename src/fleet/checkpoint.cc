@@ -59,6 +59,13 @@ bool unpack_checkpoint(const std::vector<std::uint8_t>& bytes,
   if (!read_pod(bytes, &offset, &digest) || !read_pod(bytes, &offset, &count))
     return fail(error, "checkpoint truncated: missing header fields");
 
+  // Each section takes at least its 16 framing bytes, so a count the
+  // buffer cannot hold is truncation, not an allocation request.
+  constexpr std::size_t kFraming = 2 * sizeof(std::uint32_t) +
+                                   sizeof(std::uint64_t);
+  if (count > (bytes.size() - offset) / kFraming)
+    return fail(error, "checkpoint truncated: " + std::to_string(count) +
+                           " sections declared");
   std::vector<CheckpointSection> parsed;
   parsed.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -502,6 +502,9 @@ std::unique_ptr<FleetRunner> FleetRunner::from_checkpoint(
   if (stored_epoch > runner->total_epochs_)
     return fail("checkpoint epoch cursor past the configured horizon");
   runner->epoch_ = stored_epoch;
+  // Every row carries at least its 8-byte length prefix.
+  if (row_count > (meta->payload.size() - off) / sizeof(std::uint64_t))
+    return fail("checkpoint META section truncated inside rows");
   runner->rows_.reserve(row_count);
   for (std::uint64_t i = 0; i < row_count; ++i) {
     std::string row;
@@ -527,6 +530,8 @@ std::unique_ptr<FleetRunner> FleetRunner::from_checkpoint(
       return fail("checkpoint DRVS section truncated (slot " +
                   std::to_string(i) + ")");
     slot.dead = dead != 0;
+    if (fail_count > (drives->payload.size() - off) / sizeof(double))
+      return fail("checkpoint DRVS section truncated in failure days");
     slot.failure_days.resize(fail_count);
     for (double& day : slot.failure_days)
       if (!read_pod(drives->payload, &off, &day))

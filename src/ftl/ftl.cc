@@ -415,10 +415,27 @@ bool Ftl::check_invariants() const {
     if (p2l_[packed] != lpn) return false;
     ++valid_count[packed / config_.pages_per_block];
   }
+  // Block structure (what a decoded snapshot must also satisfy before
+  // the FTL may append to it): known states, write pointers inside the
+  // block, and the open block — if any — the one kOpen block.
+  if (open_block_ != kUnmappedBlock && open_block_ >= blocks_.size())
+    return false;
+  for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
+    const BlockInfo& info = blocks_[b];
+    if (static_cast<std::uint8_t>(info.state) >
+            static_cast<std::uint8_t>(BlockInfo::State::kRetired) ||
+        info.write_ptr > config_.pages_per_block ||
+        (info.state == BlockInfo::State::kOpen) != (b == open_block_))
+      return false;
+  }
   for (std::uint64_t phys = 0; phys < p2l_.size(); ++phys) {
     const std::uint64_t lpn = p2l_[phys];
     if (lpn == kUnmapped) continue;
     if (lpn >= l2p_.size() || l2p_[lpn] != phys) return false;
+    // Data only below the write pointer.
+    if (phys % config_.pages_per_block >=
+        blocks_[phys / config_.pages_per_block].write_ptr)
+      return false;
   }
   std::uint32_t free_seen = 0;
   std::uint32_t retired_seen = 0;

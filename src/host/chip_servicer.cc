@@ -122,14 +122,18 @@ ServiceCost ChipServicer::service_page(CommandKind kind, std::uint64_t lpn) {
         ++error_stats_.reads_uncorrectable;
         break;
       }
-      const nand::ReadResult result = chip_.block(b).read_page(address);
-      read_bit_errors_ += static_cast<std::uint64_t>(result.raw_bit_errors);
+      // read_page's sense-then-disturb sequence, minus the page bits the
+      // servicer never looks at.
+      nand::Block& block = chip_.block(b);
+      const int raw_errors = block.count_errors(address);
+      block.apply_reads(address.wordline, 1.0);
+      read_bit_errors_ += static_cast<std::uint64_t>(raw_errors);
       const bool latent = latent_bad(lpn, b);
-      if (!latent && result.raw_bit_errors == 0) {
+      if (!latent && raw_errors == 0) {
         ++error_stats_.reads_ok;
         break;
       }
-      if (!latent && page_decodes(result.raw_bit_errors)) {
+      if (!latent && page_decodes(raw_errors)) {
         cost.status = Status::kCorrected;
         ++error_stats_.reads_corrected;
         break;
@@ -146,8 +150,8 @@ ServiceCost ChipServicer::service_page(CommandKind kind, std::uint64_t lpn) {
       // change between them (see the header comment).
       std::vector<double> vth;
       if (!latent) {
-        vth = chip_.block(b).present_vth_page(address.wordline);
-        const core::ReadRefs refs = vref_.learn(chip_.block(b), vth);
+        vth = block.present_vth_page(address.wordline);
+        const core::ReadRefs refs = vref_.learn(block, vth);
         // A degenerate learn (non-monotone refs from a collapsed valley
         // search) cannot be sensed with; treat the step as failed.
         if (refs.va < refs.vb && refs.vb < refs.vc) {
@@ -167,7 +171,7 @@ ServiceCost ChipServicer::service_page(CommandKind kind, std::uint64_t lpn) {
       cost.busy_s += rdr_charge_s_;
       if (!latent) {
         const core::RdrResult recovered =
-            rdr_.recover(chip_.block(b), address.wordline, vth);
+            rdr_.recover(block, address.wordline, vth);
         const int errors = page_errors_after_rdr(b, address, recovered);
         if (page_decodes(errors)) {
           cost.status = Status::kRecovered;

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-
-#include "flash/vmath.h"
+#include <stdexcept>
+#include <string>
 
 namespace rdsim::nand {
 
@@ -42,7 +42,8 @@ Block::Block(const Geometry& geometry, const flash::VthModel& model, Rng rng)
       model_(&model),
       cell_count_(geometry.cells_per_block()),
       // One uninitialized allocation for all per-cell arrays: 4 float
-      // fields plus the state bytes (the byte view of the tail floats is
+      // fields (v0, susceptibility, leak rate, crossing row) plus the
+      // state bytes (the byte view of the tail floats is
       // legal — unsigned char may alias anything). Every row stays
       // untouched until ensure_wordline materializes it, so constructing
       // a block costs one allocation and no arena traffic at all.
@@ -51,9 +52,9 @@ Block::Block(const Geometry& geometry, const flash::VthModel& model, Rng rng)
       v0_(cell_arena_.get()),
       susceptibility_(v0_ + cell_count_),
       leak_rate_(susceptibility_ + cell_count_),
-      disturb_seed_(leak_rate_ + cell_count_),
-      state_(reinterpret_cast<std::uint8_t*>(disturb_seed_ + cell_count_)),
-      seed_valid_(geometry.wordlines_per_block, 0),
+      cross_(leak_rate_ + cell_count_),
+      state_(reinterpret_cast<std::uint8_t*>(cross_ + cell_count_)),
+      cross_valid_(geometry.wordlines_per_block, 0),
       wl_ready_(geometry.wordlines_per_block, 0),
       block_seed_(rng.next()),
       vpass_(model.params().vpass_nominal),
@@ -62,12 +63,20 @@ Block::Block(const Geometry& geometry, const flash::VthModel& model, Rng rng)
                           std::numeric_limits<float>::infinity()),
       blocking_sorted_(geometry.bitlines,
                        std::numeric_limits<float>::infinity()),
-      vth_scratch_(geometry.bitlines, 0.0),
       state_scratch_(geometry.bitlines, 0) {}
 
 void Block::invalidate_cells() {
   std::fill(wl_ready_.begin(), wl_ready_.end(), std::uint8_t{0});
-  std::fill(seed_valid_.begin(), seed_valid_.end(), std::uint8_t{0});
+  invalidate_crossings();
+}
+
+void Block::invalidate_crossings() {
+  std::fill(cross_valid_.begin(), cross_valid_.end(), std::uint8_t{0});
+}
+
+void Block::advance_time(double days) {
+  now_days_ += days;
+  invalidate_crossings();
 }
 
 void Block::erase() {
@@ -110,7 +119,7 @@ void Block::program_wordline(std::uint32_t wl, const PageBits& lsb,
                              "program_random is not supported");
   if (wl == 0) ++program_epoch_;  // Each pass over the block is one event.
   const std::size_t base = index(wl, 0);
-  seed_valid_[wl] = 0;  // The exp(-B*v0) cache refills on the next sense.
+  cross_valid_[wl] = 0;
   for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl)
     state_[base + bl] =
         static_cast<std::uint8_t>(flash::state_of_bits(lsb[bl], msb[bl]));
@@ -131,6 +140,7 @@ void Block::program_wordline(std::uint32_t wl, const PageBits& lsb,
     programmed_ = true;
     programmed_day_ = now_days_;
     draw_blocking_thresholds();
+    invalidate_crossings();
   }
 }
 
@@ -180,13 +190,22 @@ void Block::materialize_wordline(std::uint32_t wl) const {
     std::fill_n(susceptibility_ + base, geometry_.bitlines, 1.0F);
     std::fill_n(leak_rate_ + base, geometry_.bitlines, 1.0F);
   }
-  seed_valid_[wl] = 0;
+  cross_valid_[wl] = 0;
   wl_ready_[wl] = 1;
 }
 
 void Block::apply_reads(std::uint32_t wl, double count) {
   assert(wl < geometry_.wordlines_per_block);
+  if (!(count >= 0.0) || std::isinf(count))
+    throw std::invalid_argument(
+        "Block::apply_reads: read count must be finite and non-negative, got " +
+        std::to_string(count));
   const double dose = model_->disturb_dose(count, vpass_, pe_cycles_);
+  if (!(dose >= 0.0) || std::isinf(dose))
+    throw std::invalid_argument(
+        "Block::apply_reads: " + std::to_string(count) +
+        " reads at Vpass " + std::to_string(vpass_) +
+        " give a non-finite disturb dose");
   dose_total_ += dose;
   self_dose_[wl] += dose;
 }
@@ -204,52 +223,31 @@ double Block::dose_for_wordline(std::uint32_t wl) const {
   return dose;
 }
 
-void Block::ensure_disturb_seed(std::uint32_t wl) const {
-  if (seed_valid_[wl] != 0) return;
+flash::CellSoaView Block::soa_view(std::uint32_t wl) const {
+  ensure_wordline(wl);
   const std::size_t base = index(wl, 0);
-  const float* v0 = v0_ + base;
-  float* seed = disturb_seed_ + base;
-  const double b = model_->params().disturb_b;
-  // Straight-line vexp (same expression as VthModel::disturb_seed): this
-  // loop vectorizes, so the one-time fill costs a few ns per cell and
-  // every later sense of the wordline reuses it.
-  for (std::uint32_t bl = 0; bl < geometry_.bitlines; ++bl)
-    seed[bl] = static_cast<float>(
-        flash::vmath::vexp(-b * static_cast<double>(v0[bl])));
-  seed_valid_[wl] = 1;
+  return {state_ + base, v0_ + base, susceptibility_ + base,
+          leak_rate_ + base, geometry_.bitlines};
 }
 
 double Block::present_vth(std::uint32_t wl, std::uint32_t bl) const {
   const auto coeffs = model_->sense_coeffs(dose_for_wordline(wl),
                                            retention_days(), pe_cycles_);
   ensure_wordline(wl);
-  ensure_disturb_seed(wl);
   const std::size_t i = index(wl, bl);
-  return model_->present_vth_cached(
-      coeffs, static_cast<double>(v0_[i]), disturb_seed_[i],
-      static_cast<double>(susceptibility_[i]),
-      static_cast<double>(leak_rate_[i]));
-}
-
-void Block::present_vth_into(std::uint32_t wl, double* out) const {
-  const auto coeffs = model_->sense_coeffs(dose_for_wordline(wl),
-                                           retention_days(), pe_cycles_);
-  ensure_wordline(wl);
-  ensure_disturb_seed(wl);
-  const std::size_t base = index(wl, 0);
-  const flash::CellSoaView view{state_ + base,
-                                v0_ + base,
-                                susceptibility_ + base,
-                                leak_rate_ + base,
-                                disturb_seed_ + base,
-                                geometry_.bitlines};
-  model_->present_vth_batch(view, coeffs, out);
+  return model_->present_vth_cell(coeffs, static_cast<double>(v0_[i]),
+                                  static_cast<double>(susceptibility_[i]),
+                                  static_cast<double>(leak_rate_[i]));
 }
 
 std::vector<double> Block::present_vth_page(std::uint32_t wl) const {
   assert(wl < geometry_.wordlines_per_block);
   std::vector<double> out(geometry_.bitlines);
-  present_vth_into(wl, out.data());
+  model_->present_vth_batch(
+      soa_view(wl),
+      model_->sense_coeffs(dose_for_wordline(wl), retention_days(),
+                           pe_cycles_),
+      out.data());
   return out;
 }
 
@@ -258,10 +256,17 @@ double Block::blocking_drop() const {
          std::log1p(std::max(retention_days(), 0.0));
 }
 
-void Block::sense_page(std::uint32_t wl) const {
-  present_vth_into(wl, vth_scratch_.data());
-  model_->classify_batch(vth_scratch_.data(), geometry_.bitlines,
-                         state_scratch_.data());
+std::span<const std::uint8_t> Block::sensed_states(std::uint32_t wl) const {
+  const auto coeffs = model_->sense_coeffs(dose_for_wordline(wl),
+                                           retention_days(), pe_cycles_);
+  const flash::CellSoaView view = soa_view(wl);
+  float* cross = cross_ + index(wl, 0);
+  if (cross_valid_[wl] != 0) {
+    model_->resense_batch(view, coeffs, cross, state_scratch_.data());
+  } else {
+    model_->sense_first_batch(view, coeffs, cross, state_scratch_.data());
+    cross_valid_[wl] = 1;
+  }
   // Pass-through override: if a bitline's blocking threshold exceeds the
   // present Vpass, some unread cell fails to conduct and the whole string
   // senses as non-conducting — i.e. as the highest state.
@@ -274,15 +279,15 @@ void Block::sense_page(std::uint32_t wl) const {
     states[bl] = blocked ? static_cast<std::uint8_t>(CellState::kP3)
                          : states[bl];
   }
+  return state_scratch_;
 }
 
 ReadResult Block::read_page(PageAddress address) {
   assert(programmed_);
   ReadResult result;
   result.bits.resize(geometry_.bitlines);
-  sense_page(address.wordline);
+  const std::uint8_t* sensed = sensed_states(address.wordline).data();
   const std::size_t base = index(address.wordline, 0);
-  const std::uint8_t* sensed = state_scratch_.data();
   const std::uint8_t* truth = state_ + base;
   std::uint8_t* bits = result.bits.data();
   int errors = 0;
@@ -303,8 +308,7 @@ ReadResult Block::read_page(PageAddress address) {
 }
 
 int Block::count_errors(PageAddress address) const {
-  sense_page(address.wordline);
-  return page_bit_errors(address.kind, state_scratch_,
+  return page_bit_errors(address.kind, sensed_states(address.wordline),
                          wordline_states(address.wordline));
 }
 

@@ -13,10 +13,18 @@
 // Cells are stored structure-of-arrays (one contiguous array per ground
 // truth field, wordline-major) so a page sense is a handful of
 // auto-vectorized passes over contiguous memory instead of a per-cell
-// scalar loop: batched present-Vth (flash::VthModel::present_vth_batch,
-// reusing a per-wordline exp(-B*v0) cache filled on first sense),
-// branchless classification, and a bit-compare against the programmed
-// data pages.
+// scalar loop, followed by a bit-compare against the programmed data
+// pages. Senses are incremental within an epoch — the span over which a
+// wordline's ground truth, retention age and wear are fixed, so only its
+// dose moves, and only upwards. The first sense of a wordline in an epoch
+// evaluates every cell and keeps a crossing row (flash::VthModel::
+// sense_first_batch: each cell's sensed state and the dose below which it
+// cannot change); every later sense compares the dose against that row
+// and re-evaluates only the cells that reached their crossing dose
+// (resense_batch). Materializing or programming a wordline, erase,
+// program_random, the end of an explicit program pass and every
+// advance_time end the epoch. Full Vth rows (present_vth_page,
+// read_retry_scan) always evaluate every cell.
 //
 // Programming is O(bookkeeping): program_random() records the program
 // event (epoch, P/E at program time, random-data intent) and draws only
@@ -101,13 +109,16 @@ class Block {
   void program_wordline(std::uint32_t wl, const PageBits& lsb,
                         const PageBits& msb);
 
-  /// Advances wall-clock time; affects retention age.
-  void advance_time(double days) { now_days_ += days; }
+  /// Advances wall-clock time; affects retention age. Ends every
+  /// wordline's sense epoch (even for `days == 0`).
+  void advance_time(double days);
 
   /// Applies `count` read operations addressed at wordline `wl` (any page
   /// kind) without materializing the data: disturb dose accumulates on all
   /// *other* wordlines. This is how characterization loops apply millions
-  /// of disturbs in O(1).
+  /// of disturbs in O(1). Throws std::invalid_argument unless `count` is
+  /// finite and non-negative and so is the dose it adds at the current
+  /// Vpass: the incremental sense relies on dose never falling.
   void apply_reads(std::uint32_t wl, double count);
 
   /// Reads a page: senses each cell against the read references, honoring
@@ -118,6 +129,13 @@ class Block {
   /// Number of raw bit errors a read of `address` would return right now,
   /// without disturbing the block (used by tests and the tuning oracle).
   int count_errors(PageAddress address) const;
+
+  /// States a read of wordline `wl` senses right now, pass-through
+  /// blocking included, as CellState bytes; does not disturb the block.
+  /// The first sense of the wordline in its epoch evaluates every cell,
+  /// later ones only the cells past their crossing dose (see the header
+  /// comment). Valid until the next sense on this block.
+  std::span<const std::uint8_t> sensed_states(std::uint32_t wl) const;
 
   /// Count of bitlines that fail to conduct (read as all-off) for a read
   /// of wordline `wl` at pass-through voltage `vpass` — Step 2 of the
@@ -183,13 +201,8 @@ class Block {
   /// single source of truth for the drop the blocking checks subtract).
   double blocking_drop() const;
 
-  /// Batched whole-wordline sense into the scratch buffers: present Vth
-  /// (vth_scratch_), classification, and the pass-through blocking
-  /// override (state_scratch_). Valid until the next sense on this block.
-  void sense_page(std::uint32_t wl) const;
-
-  /// Batched present Vth of wordline `wl` into out[0..bitlines).
-  void present_vth_into(std::uint32_t wl, double* out) const;
+  /// The wordline's SoA view (materializing it first).
+  flash::CellSoaView soa_view(std::uint32_t wl) const;
 
   Geometry geometry_;
   const flash::VthModel* model_;
@@ -206,28 +219,28 @@ class Block {
   // a bijection, so error counting derives both sensed and truth bits
   // from state bytes with the same branch-free arithmetic.
   //
-  // disturb_seed_ is the cached disturb transform exp(-B*v0) per cell,
-  // filled lazily one wordline at a time by a vectorized pass on the
-  // first sense after (re)programming — characterization workloads
-  // program millions of cells but sense a few wordlines many times, so
-  // paying the exp at program time would tax the program-heavy
-  // experiments instead. Stored as float: a few-ulp-of-float error on
-  // the cached exponential is far below the model's fidelity (the sense
-  // paths round it identically everywhere).
+  // cross_ is the crossing row of flash::VthModel::sense_first_batch,
+  // built by the first sense of a wordline in its epoch and refreshed
+  // cell by cell by later senses; cross_valid_ says which wordlines hold
+  // one for the current epoch.
   std::size_t cell_count_ = 0;
   std::unique_ptr<float[]> cell_arena_;
   float* v0_ = nullptr;
   float* susceptibility_ = nullptr;
   float* leak_rate_ = nullptr;
-  float* disturb_seed_ = nullptr;  ///< Lazily filled (data mutable via
+  float* cross_ = nullptr;         ///< Crossing row (data mutable via
                                    ///< const sense paths).
   std::uint8_t* state_ = nullptr;  ///< Intended CellState bytes.
-  mutable std::vector<std::uint8_t> seed_valid_;  ///< Per wordline.
-  mutable std::vector<std::uint8_t> wl_ready_;    ///< Row materialized?
+  mutable std::vector<std::uint8_t> cross_valid_;  ///< Per wordline.
+  mutable std::vector<std::uint8_t> wl_ready_;     ///< Row materialized?
 
   /// Invalidates every wordline's materialized row (the lazy equivalent
   /// of rewriting the ~2 MB arena with erased defaults).
   void invalidate_cells();
+
+  /// Ends every wordline's sense epoch: the next sense of each builds a
+  /// fresh crossing row.
+  void invalidate_crossings();
 
   /// Materializes wordline `wl`'s ground-truth row if not already valid:
   /// erased defaults, or — when a program_random is pending — the data
@@ -240,10 +253,6 @@ class Block {
   /// program (their own counter-based stream, so they are independent of
   /// wordline materialization order) and rebuilds the sorted copy.
   void draw_blocking_thresholds();
-
-  /// Fills disturb_seed_ for wordline `wl` if not already valid. The
-  /// wordline row must already be materialized.
-  void ensure_disturb_seed(std::uint32_t wl) const;
 
   /// Root of every per-wordline stream this block derives; fixed at
   /// construction from the chip's fork.
@@ -281,10 +290,9 @@ class Block {
   /// count_blocked_bitlines binary-searches it instead of rescanning.
   std::vector<float> blocking_sorted_;
 
-  /// Whole-page sense scratch (bitlines elements each). Mutable so const
-  /// reads can batch; a Block is not meant to be sensed concurrently from
+  /// Whole-page sensed states (bitlines elements). Mutable so const reads
+  /// can sense; a Block is not meant to be sensed concurrently from
   /// multiple threads (experiment shards own their chips).
-  mutable std::vector<double> vth_scratch_;
   mutable std::vector<std::uint8_t> state_scratch_;
   /// Lazy-materialization scratch: one wordline's data bits (2 per cell)
   /// and the program-sampling workspace, reused across wordlines.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -95,6 +97,24 @@ TEST_F(BlockTest, SelfDoseExcluded) {
   EXPECT_DOUBLE_EQ(b.dose_for_wordline(5), 0.0);
   EXPECT_GT(b.dose_for_wordline(4), 0.0);
   EXPECT_DOUBLE_EQ(b.dose_for_wordline(4), b.dose_for_wordline(6));
+}
+
+TEST_F(BlockTest, ApplyReadsRejectsInvalidCounts) {
+  // The incremental sense relies on dose never falling within an epoch:
+  // a negative, NaN or infinite count (or a Vpass that makes the dose
+  // non-finite) is rejected before anything is applied.
+  auto& b = chip_.block(0);
+  b.program_random();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-300, -kInf, kInf,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(b.apply_reads(3, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_DOUBLE_EQ(b.dose(), 0.0);
+  EXPECT_NO_THROW(b.apply_reads(3, 0.0));
+  b.set_vpass(kInf);
+  EXPECT_THROW(b.apply_reads(3, 1.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(b.dose(), 0.0);
 }
 
 TEST_F(BlockTest, DisturbRaisesErrorsOnOtherWordlines) {

@@ -286,13 +286,12 @@ class SenseKernelTest : public ::testing::Test {
       v0_.push_back(cell.v0);
       susceptibility_.push_back(cell.susceptibility);
       leak_rate_.push_back(cell.leak_rate);
-      seed_.push_back(model_.disturb_seed(static_cast<double>(cell.v0)));
     }
   }
 
   CellSoaView view() const {
-    return {programmed_.data(), v0_.data(),        susceptibility_.data(),
-            leak_rate_.data(),  seed_.data(),      cells_.size()};
+    return {programmed_.data(), v0_.data(), susceptibility_.data(),
+            leak_rate_.data(), cells_.size()};
   }
 
   FlashModelParams params_ = FlashModelParams::default_2ynm();
@@ -300,7 +299,6 @@ class SenseKernelTest : public ::testing::Test {
   std::vector<CellGroundTruth> cells_;
   std::vector<std::uint8_t> programmed_;
   std::vector<float> v0_, susceptibility_, leak_rate_;
-  std::vector<float> seed_;
 };
 
 TEST_F(SenseKernelTest, BatchBitIdenticalToScalarInAllRegimes) {
