@@ -61,12 +61,6 @@ struct FaultSpec {
   /// failed). die_kill_day < 0 (default) never kills.
   std::uint32_t die_kill_shard = 0;
   double die_kill_day = -1.0;
-
-  /// True when any knob would actually inject something.
-  bool any() const {
-    return program_fail_prob > 0.0 || erase_fail_prob > 0.0 ||
-           latent_page_prob > 0.0 || die_kill_day >= 0.0;
-  }
 };
 
 struct DriveSpec {

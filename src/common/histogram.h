@@ -20,8 +20,6 @@ class Histogram {
   void add(double x, std::uint64_t weight = 1);
 
   std::size_t bin_count() const { return counts_.size(); }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
   double bin_width() const { return width_; }
   std::uint64_t total() const { return total_; }
 

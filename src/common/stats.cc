@@ -89,8 +89,6 @@ double RunningStats::variance() const {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 LineFit fit_line(std::span<const double> x, std::span<const double> y) {
   assert(x.size() == y.size() && x.size() >= 2);
   const double n = static_cast<double>(x.size());

@@ -36,7 +36,6 @@ class RunningStats {
   double mean() const { return mean_; }
   /// Population variance; 0 when fewer than 2 samples.
   double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 

@@ -1,10 +1,9 @@
 // rdsim/common/thread_pool.h
 //
-// Deterministic fork-join thread pool (formerly sim::ExperimentRunner; it
-// moved down to common so the host layer's sharded devices can use the
-// same pool machinery without depending on the experiment layer above
-// them). A ThreadPool owns a fixed set of worker threads; for_each()/
-// map() split an index space [0, n) across the pool.
+// Deterministic fork-join thread pool. It lives in common so the host
+// layer's sharded devices and the experiment layer above them share one
+// pool machinery. A ThreadPool owns a fixed set of worker threads;
+// for_each()/map() split an index space [0, n) across the pool.
 //
 // Determinism contract: each shard i must depend only on its index
 // (callers seed shard randomness with Rng::stream(seed, i) or own

@@ -85,7 +85,6 @@ class AnalyticBlockProbe : public BlockProbe {
   int codewords_per_page() const override { return codewords_per_page_; }
 
   void set_condition(const flash::BlockCondition& c) { condition_ = c; }
-  const flash::BlockCondition& condition() const { return condition_; }
 
  private:
   const flash::RberModel* model_;

@@ -8,7 +8,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace rdsim::flash {
 
@@ -103,16 +102,6 @@ inline int msb_errors(const std::uint8_t* a, const std::uint8_t* b,
 inline int bit_errors(const std::uint8_t* a, const std::uint8_t* b,
                       std::size_t n) {
   return lsb_errors(a, b, n) + msb_errors(a, b, n);
-}
-
-constexpr std::string_view state_name(CellState state) {
-  switch (state) {
-    case CellState::kEr: return "ER";
-    case CellState::kP1: return "P1";
-    case CellState::kP2: return "P2";
-    case CellState::kP3: return "P3";
-  }
-  return "?";
 }
 
 }  // namespace rdsim::flash

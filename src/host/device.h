@@ -204,7 +204,6 @@ class Device {
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  int worker_count() const { return pool_.thread_count(); }
 
   /// Which shard owns global page `lpn`, and its address there.
   std::uint32_t shard_of(std::uint64_t lpn) const {

@@ -25,7 +25,6 @@ void CompletionStats::add(const Completion& c) {
     first_submit_s_ = c.submit_time_s;
   last_complete_s_ = std::max(last_complete_s_, c.complete_time_s);
   ++commands_;
-  total_pages_ += data_pages;
   stall_seconds_ += c.stall_s;
   ++status_counts_[static_cast<std::size_t>(c.status)];
   error_pages_ += c.error_pages;
@@ -81,11 +80,6 @@ double CompletionStats::iops() const {
   return span <= 0.0 ? 0.0 : static_cast<double>(commands_) / span;
 }
 
-double CompletionStats::page_rate() const {
-  const double span = span_s();
-  return span <= 0.0 ? 0.0 : static_cast<double>(total_pages_) / span;
-}
-
 std::uint64_t CompletionStats::tenant_commands(std::uint32_t t) const {
   const TenantAgg* ten = tenant(t);
   return ten == nullptr ? 0 : ten->commands;
@@ -111,20 +105,9 @@ std::uint64_t CompletionStats::tenant_pages(std::uint32_t t) const {
   return ten == nullptr ? 0 : ten->pages;
 }
 
-std::uint64_t CompletionStats::tenant_read_pages(std::uint32_t t) const {
-  const TenantAgg* ten = tenant(t);
-  return ten == nullptr ? 0 : ten->read_pages;
-}
-
 std::uint64_t CompletionStats::tenant_error_pages(std::uint32_t t) const {
   const TenantAgg* ten = tenant(t);
   return ten == nullptr ? 0 : ten->error_pages;
-}
-
-std::uint64_t CompletionStats::tenant_read_error_pages(
-    std::uint32_t t) const {
-  const TenantAgg* ten = tenant(t);
-  return ten == nullptr ? 0 : ten->read_error_pages;
 }
 
 double CompletionStats::tenant_uber(std::uint32_t t,

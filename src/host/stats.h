@@ -61,8 +61,6 @@ class CompletionStats {
   double span_s() const;
   /// Commands per simulated second over the makespan (0 if degenerate).
   double iops() const;
-  /// Read/written/trimmed pages per simulated second over the makespan.
-  double page_rate() const;
 
   // --- Per-tenant slices ---------------------------------------------------
   // Grown lazily to the largest tenant id observed + 1; every accessor
@@ -79,9 +77,7 @@ class CompletionStats {
   std::uint64_t tenant_commands(std::uint32_t tenant, CommandKind kind) const;
   std::uint64_t tenant_commands(std::uint32_t tenant, Status status) const;
   std::uint64_t tenant_pages(std::uint32_t tenant) const;
-  std::uint64_t tenant_read_pages(std::uint32_t tenant) const;
   std::uint64_t tenant_error_pages(std::uint32_t tenant) const;
-  std::uint64_t tenant_read_error_pages(std::uint32_t tenant) const;
 
   /// Tenant `tenant`'s host-observed uncorrectable bit error rate over
   /// its own reads (same convention as uber()).
@@ -147,7 +143,6 @@ class CompletionStats {
   std::array<std::uint64_t, kStatusCount> status_counts_{};
   std::vector<TenantAgg> tenants_;
   std::uint64_t commands_ = 0;
-  std::uint64_t total_pages_ = 0;
   std::uint64_t error_pages_ = 0;
   std::uint64_t read_error_pages_ = 0;
   double stall_seconds_ = 0.0;

@@ -41,7 +41,6 @@ class LatencyTracker {
   /// Completion timestamps are bucketed relative to this origin (e.g. the
   /// device clock when replay started). Call before the first observe().
   void set_origin(double origin_s) { origin_s_ = origin_s; }
-  double origin_s() const { return origin_s_; }
 
   void observe(const host::Completion& c);
 

@@ -28,7 +28,6 @@ class LbaRemapper {
         capacity_(capacity_pages == 0 ? 1 : capacity_pages) {}
 
   RemapPolicy policy() const { return policy_; }
-  std::uint64_t capacity_pages() const { return capacity_; }
 
   std::uint64_t remap_lpn(std::uint64_t lpn) const {
     if (policy_ == RemapPolicy::kHash) lpn = splitmix64(lpn);

@@ -62,24 +62,9 @@ class ExperimentContext {
   std::uint64_t seed() const { return config_.seed; }
   const nand::Geometry& geometry() const { return config_.geometry; }
   double scale() const { return config_.scale; }
-  const std::string& scenario_config() const {
-    return config_.scenario_config;
-  }
-  const std::string& scenario_profile() const {
-    return config_.scenario_profile;
-  }
-  const std::string& scenario_trace() const { return config_.scenario_trace; }
-  const std::string& fleet_resume() const { return config_.fleet_resume; }
-  const std::string& fleet_checkpoint() const {
-    return config_.fleet_checkpoint;
-  }
-  std::uint32_t fleet_checkpoint_every() const {
-    return config_.fleet_checkpoint_every;
-  }
-  std::uint32_t fleet_stop_after() const { return config_.fleet_stop_after; }
-  const volatile std::sig_atomic_t* stop_flag() const {
-    return config_.stop_flag;
-  }
+  /// Every input of the run; `scenario` and `fig_fleet` read their
+  /// file, profile, trace and checkpoint knobs straight from it.
+  const ExperimentConfig& config() const { return config_; }
   ExperimentRunner& runner() { return *runner_; }
 
   /// `count` scaled by the volume knob, kept >= `floor`.

@@ -6,8 +6,20 @@
 //   * chip      — Monte-Carlo nand::Chip experiments;
 //   * system    — whole-SSD trace replay and the DRAM RowHammer figures.
 // The registry in experiment.cc stitches these into the public list.
+//
+// Every queued-drive figure (fig_qos, fig_qos_mc, fig_qos_tenants,
+// fig_reliability, fig_trace_replay, scenario) describes its drive as a
+// cfg::ScenarioSpec and brings it up with build_drive
+// (experiments_scenario.cc); generated traffic then runs through
+// drive_days, trace files through replay::replay_trace.
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "cfg/spec.h"
+#include "host/device.h"
 #include "sim/experiment.h"
 
 namespace rdsim::sim {
@@ -37,6 +49,39 @@ Table run_fig_trace_replay(ExperimentContext& ctx);
 
 // experiments_scenario.cc
 Table run_scenario(ExperimentContext& ctx);
+
+/// Parses and validates a scenario config file; throws
+/// std::runtime_error naming the file and every diagnostic.
+cfg::ScenarioSpec load_scenario_config(const std::string& path);
+
+/// Brings up spec.drive: host::make_device, then a warm fill on an
+/// analytic drive when spec.warm_fill, then the [tenants] arbitration
+/// (installed after the single-tenant FIFO fill, so fill traffic never
+/// skews a tenant's fair-queueing clock). `workers` sizes the service
+/// pool and never affects results.
+std::unique_ptr<host::Device> build_drive(const cfg::ScenarioSpec& spec,
+                                          std::uint64_t drive_seed,
+                                          int workers);
+
+/// Replays spec.days days of generated traffic with end_of_day after
+/// each. Two or more tenants: one decorrelated stream per tenant, driven
+/// in burst windows of spec.queue_depth so the tenants are co-pending
+/// when the policy arbitrates. Otherwise one TraceGenerator stream
+/// (a single tenant's profile, else the [workload] one) driven closed
+/// loop at spec.queue_depth.
+void drive_days(const cfg::ScenarioSpec& spec, host::Device& device,
+                std::uint64_t trace_seed);
+
+/// The shared QoS tail "iops,read_mean_us,read_p50_us,read_p99_us,
+/// read_p999_us,stall_pct", where stall_pct is the background stall as a
+/// share of all command latency.
+std::string qos_columns(const host::CompletionStats& stats);
+
+/// A pre-aged sharded Monte Carlo drive of `shards` chips shaped like
+/// `geometry` (wordlines, bitlines, blocks per chip): every block gets
+/// `pre_wear_pe` P/E wear and fresh random data before the replay.
+cfg::DriveSpec mc_drive(const nand::Geometry& geometry, std::uint32_t shards,
+                        std::uint64_t pre_wear_pe);
 
 /// Fleet lifetime runner: lifecycle trajectories + checkpoint/resume.
 Table run_fig_fleet(ExperimentContext& ctx);

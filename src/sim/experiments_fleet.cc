@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "cfg/config.h"
 #include "cfg/spec.h"
 #include "fleet/checkpoint.h"
 #include "fleet/fleet.h"
@@ -57,13 +56,7 @@ cfg::ScenarioSpec default_fleet_spec(ExperimentContext& ctx) {
 }
 
 cfg::ScenarioSpec fleet_spec_from_config(const std::string& path) {
-  std::vector<cfg::Diagnostic> diags;
-  cfg::Config config = cfg::Config::parse_file(path, &diags);
-  cfg::ScenarioSpec spec;
-  if (diags.empty()) spec = cfg::parse_scenario(config, &diags);
-  if (!diags.empty())
-    throw std::runtime_error("invalid fleet config '" + path + "':\n" +
-                             cfg::format_diagnostics(diags));
+  cfg::ScenarioSpec spec = load_scenario_config(path);
   if (!spec.fleet.enabled())
     throw std::runtime_error("config '" + path +
                              "' has no [fleet] section; fig_fleet needs "
@@ -74,42 +67,43 @@ cfg::ScenarioSpec fleet_spec_from_config(const std::string& path) {
 }  // namespace
 
 Table run_fig_fleet(ExperimentContext& ctx) {
+  const ExperimentConfig& config = ctx.config();
   std::unique_ptr<fleet::FleetRunner> runner;
-  if (!ctx.fleet_resume().empty()) {
+  if (!config.fleet_resume.empty()) {
     std::string error;
-    runner = fleet::FleetRunner::from_checkpoint_file(ctx.fleet_resume(),
+    runner = fleet::FleetRunner::from_checkpoint_file(config.fleet_resume,
                                                       ctx.runner(), &error);
     if (runner == nullptr)
-      throw std::runtime_error("cannot resume from '" + ctx.fleet_resume() +
+      throw std::runtime_error("cannot resume from '" + config.fleet_resume +
                                "': " + error);
     // An explicit --config alongside --resume must describe the same
     // run; a drifted config is a config-mismatch rejection, not a
     // silent override.
-    if (!ctx.scenario_config().empty()) {
+    if (!config.scenario_config.empty()) {
       const cfg::ScenarioSpec given =
-          fleet_spec_from_config(ctx.scenario_config());
+          fleet_spec_from_config(config.scenario_config);
       if (fleet::FleetRunner::canonical_config(given) !=
           fleet::FleetRunner::canonical_config(runner->spec()))
         throw std::runtime_error(
-            "cannot resume from '" + ctx.fleet_resume() + "': --config " +
-            ctx.scenario_config() +
+            "cannot resume from '" + config.fleet_resume + "': --config " +
+            config.scenario_config +
             " does not match the configuration the checkpoint was taken "
             "under");
     }
   } else {
     const cfg::ScenarioSpec spec =
-        ctx.scenario_config().empty()
+        config.scenario_config.empty()
             ? default_fleet_spec(ctx)
-            : fleet_spec_from_config(ctx.scenario_config());
+            : fleet_spec_from_config(config.scenario_config);
     runner = std::make_unique<fleet::FleetRunner>(spec, ctx.seed(),
                                                   ctx.runner());
   }
 
   fleet::FleetOptions options;
-  options.checkpoint_path = ctx.fleet_checkpoint();
-  options.checkpoint_every = ctx.fleet_checkpoint_every();
-  options.stop_flag = ctx.stop_flag();
-  options.stop_after_checkpoints = ctx.fleet_stop_after();
+  options.checkpoint_path = config.fleet_checkpoint;
+  options.checkpoint_every = config.fleet_checkpoint_every;
+  options.stop_flag = config.stop_flag;
+  options.stop_after_checkpoints = config.fleet_stop_after;
   return fleet::run_fleet(*runner, options);
 }
 

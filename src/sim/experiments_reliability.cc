@@ -17,7 +17,6 @@
 #include "ftl/ftl.h"
 #include "host/device.h"
 #include "host/driver.h"
-#include "host/factory.h"
 #include "host/ssd_servicer.h"
 #include "sim/experiments.h"
 #include "ssd/ssd.h"
@@ -43,14 +42,14 @@ Table run_fig_reliability(ExperimentContext& ctx) {
 
   // --- Section A: latent pages and a die kill on the sharded MC drive.
   {
-    const int days = 2;
-    const std::uint32_t kShards = 4;
     nand::Geometry shard_geometry = ctx.geometry();
     shard_geometry.blocks = full_scale ? 8 : 2;
 
-    workload::WorkloadProfile profile =
-        workload::profile_by_name("fiu-web-vm");
-    profile.daily_page_ios = ctx.scaled(12000.0, 3000.0);
+    cfg::ScenarioSpec spec;
+    spec.days = 2;
+    spec.queue_depth = 4;
+    spec.workload.profile = workload::profile_by_name("fiu-web-vm");
+    spec.workload.profile.daily_page_ios = ctx.scaled(12000.0, 3000.0);
 
     struct FaultCase {
       const char* label;
@@ -74,31 +73,18 @@ Table run_fig_reliability(ExperimentContext& ctx) {
     };
     std::vector<CaseResult> results;
     for (const FaultCase& fc : cases) {
-      cfg::DriveSpec drive;
-      drive.backend = cfg::Backend::kShardedMc;
-      drive.shards = kShards;
-      drive.wordlines_per_block = shard_geometry.wordlines_per_block;
-      drive.bitlines = shard_geometry.bitlines;
-      drive.blocks = shard_geometry.blocks;
-      // Pre-age like a characterization drive so the ECC sees realistic
+      // Pre-aged like a characterization drive so the ECC sees realistic
       // raw error counts under the injected faults.
-      drive.pre_wear_pe = fc.pre_wear_pe;
-      drive.queue_count = 4;
-      drive.faults.latent_page_prob = fc.latent_page_prob;
+      spec.drive = mc_drive(shard_geometry, 4, fc.pre_wear_pe);
+      spec.drive.faults.latent_page_prob = fc.latent_page_prob;
       if (fc.die_kill_day >= 0.0) {
-        drive.faults.die_kill_shard = 1;
-        drive.faults.die_kill_day = fc.die_kill_day;
+        spec.drive.faults.die_kill_shard = 1;
+        spec.drive.faults.die_kill_day = fc.die_kill_day;
       }
-      const auto device_ptr = host::make_device(drive, drive_seed, workers);
+      const std::unique_ptr<host::Device> device_ptr =
+          build_drive(spec, drive_seed, workers);
       host::Device& device = *device_ptr;
-
-      workload::TraceGenerator gen(profile, device.logical_pages(),
-                                   trace_seed, device.queue_count());
-      host::ClosedLoopDriver driver(device, 4);
-      for (int day = 0; day < days; ++day) {
-        driver.run(gen.day_commands());
-        device.end_of_day();
-      }
+      drive_days(spec, device, trace_seed);
 
       const host::CompletionStats& stats = device.stats();
       const host::ErrorStats es = device.error_stats();
@@ -163,36 +149,39 @@ Table run_fig_reliability(ExperimentContext& ctx) {
   }
 
   // --- Section B: P/E failures on the analytic drive: grown defects eat
-  // the spare pool, then the drive degrades to read-only.
+  // the spare pool, then the drive degrades to read-only. No warm fill,
+  // and a day loop of its own: it stops on the day the FTL turns
+  // read-only.
   {
     const int max_days = full_scale ? 14 : 6;
 
-    workload::WorkloadProfile profile =
-        workload::profile_by_name("fiu-web-vm");
-    profile.daily_page_ios = ctx.scaled(20000.0, 4000.0);
-    profile.read_fraction = 0.2;  // Write-heavy: exercise the P/E path.
+    cfg::ScenarioSpec spec;
+    spec.warm_fill = false;
+    spec.drive.blocks = full_scale ? 256 : 64;
+    spec.drive.pages_per_block = full_scale ? 64 : 16;
+    spec.drive.overprovision = 0.25;
+    spec.drive.gc_free_target = 4;
+    spec.drive.spare_blocks = 2;  // Small defect budget: degradation is
+                                  // reachable within the replay.
+    spec.workload.profile = workload::profile_by_name("fiu-web-vm");
+    spec.workload.profile.daily_page_ios = ctx.scaled(20000.0, 4000.0);
+    spec.workload.profile.read_fraction = 0.2;  // Write-heavy: exercise
+                                                // the P/E path.
 
     const double fail_probs[] = {0.0, 1e-4, 1e-3, 1e-2};
     std::vector<std::string> rows;
     for (const double p : fail_probs) {
-      cfg::DriveSpec drive;
-      drive.backend = cfg::Backend::kAnalytic;
-      drive.blocks = full_scale ? 256 : 64;
-      drive.pages_per_block = full_scale ? 64 : 16;
-      drive.overprovision = 0.25;
-      drive.gc_free_target = 4;
-      drive.spare_blocks = 2;  // Small defect budget: degradation is
-                               // reachable within the replay.
-      drive.queue_count = 4;
-      drive.faults.program_fail_prob = p;
-      drive.faults.erase_fail_prob = p;
-      const auto device_ptr = host::make_device(drive, drive_seed, workers);
+      spec.drive.faults.program_fail_prob = p;
+      spec.drive.faults.erase_fail_prob = p;
+      const std::unique_ptr<host::Device> device_ptr =
+          build_drive(spec, drive_seed, workers);
       host::Device& device = *device_ptr;
       const ssd::Ssd& ssd =
           static_cast<host::SsdServicer&>(device.shard_servicer(0)).ssd();
 
-      workload::TraceGenerator gen(profile, device.logical_pages(),
-                                   trace_seed, device.queue_count());
+      workload::TraceGenerator gen(spec.workload.profile,
+                                   device.logical_pages(), trace_seed,
+                                   device.queue_count());
       host::ClosedLoopDriver driver(device, 4);
       int read_only_day = -1;
       for (int day = 0; day < max_days; ++day) {

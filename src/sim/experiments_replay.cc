@@ -19,8 +19,6 @@
 
 #include "cfg/spec.h"
 #include "common/datafile.h"
-#include "host/driver.h"
-#include "host/factory.h"
 #include "replay/latency.h"
 #include "replay/replayer.h"
 #include "sim/experiments.h"
@@ -95,33 +93,26 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
   const replay::LatencyTracker* detail = nullptr;
 
   for (const Combo& combo : combos) {
-    cfg::DriveSpec drive;
+    // An analytic drive is warm-filled; the MC chips are pre-aged.
+    cfg::ScenarioSpec spec;
     if (std::string_view(combo.backend) == "analytic") {
-      drive.backend = cfg::Backend::kAnalytic;
-      drive.blocks = full_scale ? 512 : 64;
-      drive.pages_per_block = full_scale ? 128 : 32;
-      drive.overprovision = 0.2;
-      drive.gc_free_target = 4;
+      spec.drive.blocks = full_scale ? 512 : 64;
+      spec.drive.pages_per_block = full_scale ? 128 : 32;
+      spec.drive.overprovision = 0.2;
+      spec.drive.gc_free_target = 4;
     } else {
       nand::Geometry shard_geometry = ctx.geometry();
       shard_geometry.blocks = full_scale ? 4 : 2;
-      drive.backend = cfg::Backend::kShardedMc;
-      drive.shards = 4;
-      drive.wordlines_per_block = shard_geometry.wordlines_per_block;
-      drive.bitlines = shard_geometry.bitlines;
-      drive.blocks = shard_geometry.blocks;
-      drive.pre_wear_pe = 8000;
+      spec.drive = mc_drive(shard_geometry, 4, 8000);
     }
-    drive.queue_count = 4;
     const std::unique_ptr<host::Device> device =
-        host::make_device(drive, drive_seed, workers);
-    if (drive.is_analytic()) host::warm_fill(*device);
+        build_drive(spec, drive_seed, workers);
 
     trackers.emplace_back(kWindowS, 1e5, 20000);
     replay::LatencyTracker& tracker = trackers.back();
     const replay::ReplaySummary summary = replay_combo(
         *device, trace_path, combo.mode, kSpeedup, &tracker);
-    if (drive.backend == cfg::Backend::kShardedMc &&
+    if (spec.drive.backend == cfg::Backend::kShardedMc &&
         combo.mode == replay::ReplayMode::kOpen)
       detail = &tracker;
 

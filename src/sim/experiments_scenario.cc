@@ -1,11 +1,12 @@
-// The generic `scenario` experiment: replay any cfg::ScenarioSpec —
-// a config file (--config), a built-in profile (--profile), or the
-// default profile — against the factory-built drive it describes, and
-// report the QoS summary fig_qos established plus per-shard attribution
-// when the drive is sharded. This is the config-driven front door: the
-// experiment itself contains no bring-up code, only spec resolution,
-// volume scaling, and the replay loop, so every backend the factory can
-// build is runnable from a text file without recompiling.
+// The generic `scenario` experiment and the one queued-drive path every
+// QoS figure shares. run_scenario replays any cfg::ScenarioSpec — a
+// config file (--config), a built-in profile (--profile), or the default
+// profile — against the factory-built drive it describes, and reports
+// the QoS summary fig_qos established plus per-shard attribution when
+// the drive is sharded. This is the config-driven front door: the
+// experiment contains no bring-up code of its own, only spec resolution,
+// volume scaling, and build_drive/drive_days, so every backend the
+// factory can build is runnable from a text file without recompiling.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -19,7 +20,6 @@
 #include "host/device.h"
 #include "host/driver.h"
 #include "host/factory.h"
-#include "replay/latency.h"
 #include "replay/replayer.h"
 #include "sim/experiments.h"
 #include "workload/generator.h"
@@ -27,26 +27,112 @@
 
 namespace rdsim::sim {
 
+cfg::ScenarioSpec load_scenario_config(const std::string& path) {
+  std::vector<cfg::Diagnostic> diags;
+  cfg::Config config = cfg::Config::parse_file(path, &diags);
+  cfg::ScenarioSpec spec;
+  if (diags.empty()) spec = cfg::parse_scenario(config, &diags);
+  if (!diags.empty())
+    throw std::runtime_error("invalid config '" + path + "':\n" +
+                             cfg::format_diagnostics(diags));
+  return spec;
+}
+
+std::unique_ptr<host::Device> build_drive(const cfg::ScenarioSpec& spec,
+                                          std::uint64_t drive_seed,
+                                          int workers) {
+  std::unique_ptr<host::Device> device =
+      host::make_device(spec.drive, drive_seed, workers);
+  if (spec.warm_fill && spec.drive.is_analytic()) host::warm_fill(*device);
+  if (spec.tenants.enabled())
+    device->set_arbitration(spec.tenants.arbitration());
+  return device;
+}
+
+void drive_days(const cfg::ScenarioSpec& spec, host::Device& device,
+                std::uint64_t trace_seed) {
+  const int depth = static_cast<int>(spec.queue_depth);
+  if (spec.tenants.count() >= 2) {
+    std::vector<workload::WorkloadProfile> profiles;
+    profiles.reserve(spec.tenants.tenants.size());
+    for (const cfg::TenantSpec& tenant : spec.tenants.tenants)
+      profiles.push_back(tenant.profile);
+    workload::MultiTenantGenerator gen(profiles, device.logical_pages(),
+                                       trace_seed);
+    host::BurstWindowDriver driver(device, depth);
+    for (int day = 0; day < spec.days; ++day) {
+      driver.run(gen.day_commands());
+      device.end_of_day();
+    }
+    return;
+  }
+  // A single-tenant [tenants] section replays this exact path (plus a
+  // policy that degenerates to FIFO), so its table is byte-identical to
+  // the untagged one.
+  const workload::WorkloadProfile& profile =
+      spec.tenants.count() == 1 ? spec.tenants.tenants[0].profile
+                                : spec.workload.profile;
+  workload::TraceGenerator gen(profile, device.logical_pages(), trace_seed,
+                               device.queue_count());
+  host::ClosedLoopDriver driver(device, depth);
+  for (int day = 0; day < spec.days; ++day) {
+    driver.run(gen.day_commands());
+    device.end_of_day();
+  }
+}
+
+std::string qos_columns(const host::CompletionStats& stats) {
+  using host::CommandKind;
+  double latency_sum_s = 0.0;
+  for (const CommandKind k :
+       {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
+        CommandKind::kFlush})
+    latency_sum_s +=
+        stats.mean_latency_s(k) * static_cast<double>(stats.commands(k));
+  const double stall_pct =
+      latency_sum_s <= 0.0 ? 0.0
+                           : stats.stall_seconds() / latency_sum_s * 100.0;
+  const auto us = [](double seconds) { return seconds * 1e6; };
+  return strf("%.0f,%.1f,%.1f,%.1f,%.1f,%.1f", stats.iops(),
+              us(stats.mean_latency_s(CommandKind::kRead)),
+              us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
+              us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
+              us(stats.latency_quantile_s(CommandKind::kRead, 0.999)),
+              stall_pct);
+}
+
+cfg::DriveSpec mc_drive(const nand::Geometry& geometry, std::uint32_t shards,
+                        std::uint64_t pre_wear_pe) {
+  cfg::DriveSpec drive;
+  drive.backend = cfg::Backend::kShardedMc;
+  drive.shards = shards;
+  drive.wordlines_per_block = geometry.wordlines_per_block;
+  drive.bitlines = geometry.bitlines;
+  drive.blocks = geometry.blocks;
+  drive.pre_wear_pe = pre_wear_pe;
+  return drive;
+}
+
 namespace {
 
 /// Resolves the scenario the context asks for. Invalid configs throw —
 /// the driver prints the message and exits non-zero, so a typo'd key
 /// never produces a silently-default run.
-cfg::ScenarioSpec resolve_scenario(ExperimentContext& ctx) {
-  if (!ctx.scenario_config().empty()) {
-    std::vector<cfg::Diagnostic> diags;
-    cfg::Config config = cfg::Config::parse_file(ctx.scenario_config(), &diags);
-    cfg::ScenarioSpec spec;
-    if (diags.empty()) spec = cfg::parse_scenario(config, &diags);
-    if (!diags.empty())
-      throw std::runtime_error("invalid scenario config '" +
-                               ctx.scenario_config() + "':\n" +
-                               cfg::format_diagnostics(diags));
+cfg::ScenarioSpec resolve_scenario(const ExperimentConfig& config) {
+  if (!config.scenario_config.empty()) {
+    cfg::ScenarioSpec spec = load_scenario_config(config.scenario_config);
+    // A [fleet] section describes a fleet lifetime run, which only
+    // fig_fleet executes; replaying one drive of it would silently drop
+    // the fleet.
+    if (spec.fleet.enabled())
+      throw std::runtime_error(
+          "config '" + config.scenario_config +
+          "' has a [fleet] section; run it with --experiment fig_fleet");
     return spec;
   }
-  const std::string name = ctx.scenario_profile().empty()
+  const std::string name = config.scenario_profile.empty()
                                ? cfg::builtin_profiles().front().name
-                               : ctx.scenario_profile();
+                               : config.scenario_profile;
   const cfg::Profile* profile = cfg::find_profile(name);
   if (profile == nullptr)
     throw std::runtime_error("unknown scenario profile '" + name +
@@ -84,27 +170,19 @@ void apply_scale(ExperimentContext& ctx, cfg::ScenarioSpec* spec) {
 }  // namespace
 
 Table run_scenario(ExperimentContext& ctx) {
-  cfg::ScenarioSpec spec = resolve_scenario(ctx);
+  cfg::ScenarioSpec spec = resolve_scenario(ctx.config());
   apply_scale(ctx, &spec);
   // CLI --trace overrides (or supplies) the spec's trace path; the other
   // [trace] knobs keep their config/default values.
-  if (!ctx.scenario_trace().empty()) spec.trace.path = ctx.scenario_trace();
+  if (!ctx.config().scenario_trace.empty())
+    spec.trace.path = ctx.config().scenario_trace;
 
   // Same seed-derivation scheme as fig08/fig_qos: one drive seed and one
   // trace seed, offset so seeds near the default move continuously.
   const std::uint64_t drive_seed = 17 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 7531 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
-
-  std::unique_ptr<host::Device> device =
-      host::make_device(spec.drive, drive_seed, workers);
-  if (spec.warm_fill && spec.drive.is_analytic()) host::warm_fill(*device);
-  // Arbitration installs after the (single-tenant FIFO) warm fill, while
-  // the device is quiet, so the fill traffic never skews a tenant's
-  // fair-queueing clock.
-  if (spec.tenants.enabled())
-    device->set_arbitration(spec.tenants.arbitration());
-  const bool multi_tenant = spec.tenants.count() >= 2;
+  const std::unique_ptr<host::Device> device =
+      build_drive(spec, drive_seed, ctx.runner().thread_count());
 
   replay::ReplaySummary trace_summary;
   if (spec.trace.enabled()) {
@@ -122,52 +200,13 @@ Table run_scenario(ExperimentContext& ctx) {
     opts.page_bytes = spec.trace.page_bytes;
     trace_summary = replay::replay_trace(file, *device, opts, nullptr);
     device->end_of_day();
-  } else if (multi_tenant) {
-    // One decorrelated stream per tenant, merged by arrival and driven
-    // in bursts so the tenants are co-pending when the policy arbitrates
-    // (a closed-loop trickle would leave it nothing to choose between).
-    std::vector<workload::WorkloadProfile> profiles;
-    profiles.reserve(spec.tenants.tenants.size());
-    for (const cfg::TenantSpec& tenant : spec.tenants.tenants)
-      profiles.push_back(tenant.profile);
-    workload::MultiTenantGenerator gen(profiles, device->logical_pages(),
-                                       trace_seed);
-    host::BurstWindowDriver driver(*device,
-                                   static_cast<int>(spec.queue_depth));
-    for (int day = 0; day < spec.days; ++day) {
-      driver.run(gen.day_commands());
-      device->end_of_day();
-    }
   } else {
-    // Untagged scenario — or a single-tenant [tenants] section, which
-    // replays this exact path (plus a policy that degenerates to FIFO),
-    // so its table is byte-identical to the untagged one.
-    const workload::WorkloadProfile& profile =
-        spec.tenants.count() == 1 ? spec.tenants.tenants[0].profile
-                                  : spec.workload.profile;
-    workload::TraceGenerator gen(profile, device->logical_pages(),
-                                 trace_seed, device->queue_count());
-    host::ClosedLoopDriver driver(*device,
-                                  static_cast<int>(spec.queue_depth));
-    for (int day = 0; day < spec.days; ++day) {
-      driver.run(gen.day_commands());
-      device->end_of_day();
-    }
+    drive_days(spec, *device, trace_seed);
   }
 
   const host::CompletionStats& stats = device->stats();
   const auto us = [](double seconds) { return seconds * 1e6; };
   using host::CommandKind;
-  double latency_sum_s = 0.0;
-  for (const CommandKind k :
-       {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
-        CommandKind::kFlush})
-    latency_sum_s +=
-        stats.mean_latency_s(k) * static_cast<double>(stats.commands(k));
-  const double stall_pct =
-      latency_sum_s <= 0.0 ? 0.0
-                           : stats.stall_seconds() / latency_sum_s * 100.0;
-
   Table table;
   const std::string source =
       spec.trace.enabled()
@@ -184,19 +223,16 @@ Table run_scenario(ExperimentContext& ctx) {
       "read_mean_us,read_p50_us,read_p99_us,read_p999_us,stall_pct");
   const bool sharded = spec.drive.is_sharded();
   table.row(strf(
-      "%s,%u,%d,%u,%llu,%llu,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f",
+      "%s,%u,%d,%u,%llu,%llu,%llu,%llu,%s",
       cfg::backend_name(spec.drive.backend),
       sharded ? spec.drive.shards : 1, spec.days, spec.queue_depth,
       static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
       static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
       static_cast<unsigned long long>(stats.commands(CommandKind::kTrim)),
       static_cast<unsigned long long>(stats.commands(CommandKind::kFlush)),
-      stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-      us(stats.latency_quantile_s(CommandKind::kRead, 0.999)), stall_pct));
+      qos_columns(stats).c_str()));
 
-  if (multi_tenant) {
+  if (spec.tenants.count() >= 2) {
     table.new_section();
     table.comment(
         "Per-tenant QoS under the '" +

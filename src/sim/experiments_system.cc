@@ -17,7 +17,6 @@
 #include "flash/rber_model.h"
 #include "host/device.h"
 #include "host/driver.h"
-#include "host/factory.h"
 #include "host/ssd_servicer.h"
 #include "nand/chip.h"
 #include "sim/experiments.h"
@@ -111,8 +110,8 @@ Table run_fig_qos(ExperimentContext& ctx) {
   // 4 submission queues; the same command stream — including trims and
   // flushes — is replayed against each policy, so differences come from
   // the background work each policy induces (reclaim churn, tuning
-  // probes), not from sampling. The drive comes out of host::make_device
-  // (the flash model defaults to the paper's 2y-nm parameters there).
+  // probes), not from sampling. The drive comes out of build_drive (the
+  // flash model defaults to the paper's 2y-nm parameters there).
   const bool full_scale = ctx.scale() >= 1.0;
   const int days = full_scale ? 3 : 2;
 
@@ -154,47 +153,28 @@ Table run_fig_qos(ExperimentContext& ctx) {
         const Policy& policy = policies[combo / kDepths];
         const int depth = depths[combo % kDepths];
 
-        cfg::DriveSpec drive;
-        drive.backend = cfg::Backend::kAnalytic;
-        drive.blocks = full_scale ? 512 : 64;
-        drive.pages_per_block = full_scale ? 128 : 32;
-        drive.overprovision = 0.2;
-        drive.gc_free_target = 4;
-        drive.vpass_tuning = policy.tuning;
-        drive.read_reclaim_threshold = policy.reclaim;
-        drive.queue_count = 4;
-        const std::unique_ptr<host::Device> device_ptr =
-            host::make_device(drive, drive_seed);
-        host::Device& device = *device_ptr;
-        host::warm_fill(device);
+        // Closed-loop replay over a warm-filled drive: keep `depth`
+        // commands outstanding; the next command is submitted the
+        // instant a completion frees a slot.
+        cfg::ScenarioSpec spec;
+        spec.days = days;
+        spec.queue_depth = static_cast<std::uint32_t>(depth);
+        spec.drive.blocks = full_scale ? 512 : 64;
+        spec.drive.pages_per_block = full_scale ? 128 : 32;
+        spec.drive.overprovision = 0.2;
+        spec.drive.gc_free_target = 4;
+        spec.drive.vpass_tuning = policy.tuning;
+        spec.drive.read_reclaim_threshold = policy.reclaim;
+        spec.workload.profile = profile;
+        // One worker: the combos already fan out over the pool.
+        const std::unique_ptr<host::Device> device =
+            build_drive(spec, drive_seed, /*workers=*/1);
+        drive_days(spec, *device, trace_seed);
 
-        workload::TraceGenerator gen(profile, device.logical_pages(),
-                                     trace_seed, device.queue_count());
-        // Closed-loop replay: keep `depth` commands outstanding; the
-        // next command is submitted the instant a completion frees a
-        // slot.
-        host::ClosedLoopDriver driver(device, depth);
-        for (int day = 0; day < days; ++day) {
-          driver.run(gen.day_commands());
-          device.end_of_day();
-        }
-
-        const host::CompletionStats& stats = device.stats();
-        const auto us = [](double seconds) { return seconds * 1e6; };
+        const host::CompletionStats& stats = device->stats();
         using host::CommandKind;
-        double latency_sum_s = 0.0;
-        for (const CommandKind k :
-             {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
-              CommandKind::kFlush})
-          latency_sum_s += stats.mean_latency_s(k) *
-                           static_cast<double>(stats.commands(k));
-        const double stall_pct =
-            latency_sum_s <= 0.0
-                ? 0.0
-                : stats.stall_seconds() / latency_sum_s * 100.0;
         return strf(
-            "%s,%d,%llu,%llu,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f",
-            policy.name, depth,
+            "%s,%d,%llu,%llu,%llu,%llu,%s", policy.name, depth,
             static_cast<unsigned long long>(
                 stats.commands(CommandKind::kRead)),
             static_cast<unsigned long long>(
@@ -203,11 +183,7 @@ Table run_fig_qos(ExperimentContext& ctx) {
                 stats.commands(CommandKind::kTrim)),
             static_cast<unsigned long long>(
                 stats.commands(CommandKind::kFlush)),
-            stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-            us(stats.latency_quantile_s(CommandKind::kRead, 0.999)),
-            stall_pct);
+            qos_columns(stats).c_str());
       });
 
   Table table;
@@ -233,16 +209,8 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   // experiment's --threads; the merged completion log (and therefore
   // this table) is byte-identical for any worker count.
   const bool full_scale = ctx.scale() >= 1.0;
-  const int days = 2;
-  const std::uint32_t kShards = 4;
-  const std::uint32_t kPreWearPe = 8000;
-
   nand::Geometry shard_geometry = ctx.geometry();
   shard_geometry.blocks = full_scale ? 8 : 2;
-
-  workload::WorkloadProfile profile =
-      workload::profile_by_name("fiu-web-vm");
-  profile.daily_page_ios = ctx.scaled(12000.0, 3000.0);
 
   // Same derivation scheme as fig08/fig_qos: one drive seed and one
   // trace seed shared by every depth, offset so seeds near the default
@@ -251,6 +219,15 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   const std::uint64_t trace_seed = 2468 + (ctx.seed() - 42);
   const int workers = ctx.runner().thread_count();
 
+  // Every shard is pre-aged like a characterization drive: the factory
+  // applies heavy P/E wear then fresh random data per block
+  // (O(bookkeeping) under lazy materialization).
+  cfg::ScenarioSpec spec;
+  spec.days = 2;
+  spec.drive = mc_drive(shard_geometry, 4, 8000);
+  spec.workload.profile = workload::profile_by_name("fiu-web-vm");
+  spec.workload.profile.daily_page_ios = ctx.scaled(12000.0, 3000.0);
+
   struct DepthResult {
     std::string row;
     std::vector<std::string> shard_rows;
@@ -258,41 +235,14 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   const int depths[] = {1, 4, 16};
   std::vector<DepthResult> results;
   for (const int depth : depths) {
-    cfg::DriveSpec drive;
-    drive.backend = cfg::Backend::kShardedMc;
-    drive.shards = kShards;
-    drive.wordlines_per_block = shard_geometry.wordlines_per_block;
-    drive.bitlines = shard_geometry.bitlines;
-    drive.blocks = shard_geometry.blocks;
-    // Pre-age every shard like a characterization drive: the factory
-    // applies heavy P/E wear then fresh random data per block
-    // (O(bookkeeping) under lazy materialization).
-    drive.pre_wear_pe = kPreWearPe;
-    drive.queue_count = 4;
-    const auto device_ptr = host::make_device(drive, drive_seed, workers);
+    spec.queue_depth = static_cast<std::uint32_t>(depth);
+    const std::unique_ptr<host::Device> device_ptr =
+        build_drive(spec, drive_seed, workers);
     host::Device& device = *device_ptr;
-
-    workload::TraceGenerator gen(profile, device.logical_pages(),
-                                 trace_seed, device.queue_count());
-    host::ClosedLoopDriver driver(device, depth);
-    for (int day = 0; day < days; ++day) {
-      driver.run(gen.day_commands());
-      device.end_of_day();
-    }
+    drive_days(spec, device, trace_seed);
 
     const host::CompletionStats& stats = device.stats();
-    const auto us = [](double seconds) { return seconds * 1e6; };
     using host::CommandKind;
-    double latency_sum_s = 0.0;
-    for (const CommandKind k :
-         {CommandKind::kRead, CommandKind::kWrite, CommandKind::kTrim,
-          CommandKind::kFlush})
-      latency_sum_s +=
-          stats.mean_latency_s(k) * static_cast<double>(stats.commands(k));
-    const double stall_pct =
-        latency_sum_s <= 0.0
-            ? 0.0
-            : stats.stall_seconds() / latency_sum_s * 100.0;
     const double sensed_bits =
         static_cast<double>(device.pages_read()) *
         static_cast<double>(shard_geometry.bitlines);
@@ -303,15 +253,11 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
 
     DepthResult r;
     r.row = strf(
-        "%d,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3e,%llu",
-        depth,
+        "%d,%llu,%llu,%s,%.3e,%llu", depth,
         static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
         static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
-        stats.iops(), us(stats.mean_latency_s(CommandKind::kRead)),
-        us(stats.latency_quantile_s(CommandKind::kRead, 0.50)),
-        us(stats.latency_quantile_s(CommandKind::kRead, 0.99)),
-        us(stats.latency_quantile_s(CommandKind::kRead, 0.999)), stall_pct,
-        rber, static_cast<unsigned long long>(device.block_rewrites()));
+        qos_columns(stats).c_str(), rber,
+        static_cast<unsigned long long>(device.block_rewrites()));
     // Per-shard attribution at this depth: where the reads landed, the
     // errors they saw, and the stall seconds booked to each chip.
     for (std::uint32_t s = 0; s < device.shard_count(); ++s) {

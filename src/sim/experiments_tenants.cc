@@ -19,41 +19,48 @@
 // counts and host-observed UBER — the disturb the aggressor generates is
 // visible on the same rows that show who paid for it in latency.
 //
-// Driven with BurstWindowDriver (whole windows co-pending, drained per
-// window), so the completion log — and this table — is a pure function
-// of (seed, scale): byte-identical at any --threads and poll cadence
-// (tests/test_arbitration.cc, tests/test_golden_experiments.cc).
+// Driven by drive_days in burst windows (whole windows co-pending,
+// drained per window), so the completion log — and this table — is a
+// pure function of (seed, scale): byte-identical at any --threads and
+// poll cadence (tests/test_arbitration.cc,
+// tests/test_golden_experiments.cc).
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cfg/spec.h"
 #include "host/arbitration.h"
-#include "host/driver.h"
-#include "host/factory.h"
 #include "sim/experiments.h"
 #include "workload/profiles.h"
-#include "workload/tenants.h"
 
 namespace rdsim::sim {
 
 Table run_fig_qos_tenants(ExperimentContext& ctx) {
   const bool full_scale = ctx.scale() >= 1.0;
-  const int days = 2;
-  const std::uint32_t kShards = 4;
 
   // Tenant 0, the victim: web-VM style, mostly small reads, latency
   // sensitive. Tenant 1, the aggressor: the read-hottest profile in the
   // suite, at 4x the victim's volume and with bulk requests — the
   // noisy neighbor accumulating read disturb on the shared flash.
-  workload::WorkloadProfile victim =
-      workload::profile_by_name("fiu-web-vm");
-  victim.daily_page_ios = ctx.scaled(2.2e5, 6000.0);
-  victim.mean_request_pages = 2.0;
-  workload::WorkloadProfile aggressor =
-      workload::profile_by_name("umass-web");
-  aggressor.daily_page_ios = ctx.scaled(8.8e5, 24000.0);
-  aggressor.mean_request_pages = 8.0;
+  cfg::TenantSpec victim{/*weight=*/8.0, /*deadline_us=*/500.0,
+                         workload::profile_by_name("fiu-web-vm")};
+  victim.profile.daily_page_ios = ctx.scaled(2.2e5, 6000.0);
+  victim.profile.mean_request_pages = 2.0;
+  cfg::TenantSpec aggressor{/*weight=*/1.0, /*deadline_us=*/10000.0,
+                            workload::profile_by_name("umass-web")};
+  aggressor.profile.daily_page_ios = ctx.scaled(8.8e5, 24000.0);
+  aggressor.profile.mean_request_pages = 8.0;
+
+  // A 4-shard analytic drive, warm-filled before the tenants' traffic.
+  cfg::ScenarioSpec spec;
+  spec.days = 2;
+  spec.drive.backend = cfg::Backend::kShardedAnalytic;
+  spec.drive.shards = 4;
+  spec.drive.blocks = full_scale ? 256 : 48;  // Per shard.
+  spec.drive.pages_per_block = full_scale ? 128 : 32;
+  spec.drive.overprovision = 0.2;
+  spec.drive.gc_free_target = 4;
+  spec.tenants.tenants = {victim, aggressor};
 
   // Same derivation scheme as fig08/fig_qos: one drive seed and one
   // trace seed shared by every combo, offset so seeds near the default
@@ -81,35 +88,15 @@ Table run_fig_qos_tenants(ExperimentContext& ctx) {
 
   for (const host::ArbitrationPolicy policy : policies) {
     for (const int window : windows) {
-      cfg::DriveSpec drive;
-      drive.backend = cfg::Backend::kShardedAnalytic;
-      drive.shards = kShards;
-      drive.queue_count = 4;
-      drive.blocks = full_scale ? 256 : 48;  // Per shard.
-      drive.pages_per_block = full_scale ? 128 : 32;
-      drive.overprovision = 0.2;
-      drive.gc_free_target = 4;
+      spec.tenants.policy = policy;
+      spec.queue_depth = static_cast<std::uint32_t>(window);
       const std::unique_ptr<host::Device> device =
-          host::make_device(drive, drive_seed, workers);
-      host::warm_fill(*device);
-
-      host::ArbitrationConfig arb;
-      arb.policy = policy;
-      arb.tenants = {{/*weight=*/8.0, /*deadline_us=*/500.0},
-                     {/*weight=*/1.0, /*deadline_us=*/10000.0}};
-      device->set_arbitration(arb);
-
-      workload::MultiTenantGenerator gen({victim, aggressor},
-                                         device->logical_pages(), trace_seed);
-      host::BurstWindowDriver driver(*device, window);
-      for (int day = 0; day < days; ++day) {
-        driver.run(gen.day_commands());
-        device->end_of_day();
-      }
+          build_drive(spec, drive_seed, workers);
+      drive_days(spec, *device, trace_seed);
 
       const host::CompletionStats& stats = device->stats();
       const auto us = [](double seconds) { return seconds * 1e6; };
-      const auto bits = static_cast<double>(drive.bitlines);
+      const auto bits = static_cast<double>(spec.drive.bitlines);
       using host::CommandKind;
       using host::Status;
       table.row(strf(

@@ -81,7 +81,6 @@ class Ssd {
   const SsdConfig& config() const { return config_; }
   const ftl::Ftl& ftl() const { return ftl_; }
   const SsdStats& stats() const { return stats_; }
-  const flash::RberModel& rber_model() const { return model_; }
 
   /// Services one typed host command (multi-page ranges wrap the logical
   /// space). Returns the command's flash cost: busy seconds for its own

@@ -21,7 +21,6 @@ class ZipfSampler {
   ZipfSampler(std::uint64_t n, double theta);
 
   std::uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
 
   /// Draws one rank in [0, n).
   std::uint64_t sample(Rng& rng) const;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nand/chip.h"
-#include "nand/randomizer.h"
 
 namespace rdsim::nand {
 namespace {
@@ -417,32 +416,6 @@ TEST_F(BlockTest, ReprogramChangesGroundTruthEpoch) {
   b.erase();
   EXPECT_EQ(b.cell(9, 0).programmed, flash::CellState::kEr);
   EXPECT_EQ(b.cell(9, 0).v0, 0.0F);
-}
-
-TEST(Randomizer, RoundTripAndKeyVariation) {
-  Randomizer r;
-  std::vector<std::uint8_t> data(257);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint8_t>(i);
-  auto scrambled = data;
-  r.apply(3, 7, scrambled);
-  EXPECT_NE(scrambled, data);
-  r.apply(3, 7, scrambled);  // Involution.
-  EXPECT_EQ(scrambled, data);
-  // Different addresses produce different keystreams.
-  auto a = data, b = data;
-  r.apply(3, 7, a);
-  r.apply(3, 8, b);
-  EXPECT_NE(a, b);
-}
-
-TEST(RandomizerStats, OutputBalanced) {
-  Randomizer r;
-  std::vector<std::uint8_t> zeros(4096, 0);
-  r.apply(0, 0, zeros);
-  int ones = 0;
-  for (auto byte : zeros) ones += __builtin_popcount(byte);
-  EXPECT_NEAR(ones, 4096 * 4, 400);
 }
 
 }  // namespace

@@ -2,11 +2,8 @@
 // a downstream user will eventually hit.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "analytic_drive.h"
 #include "cfg/spec.h"
-#include "common/csv.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/endurance.h"
@@ -15,7 +12,6 @@
 #include "flash/rber_model.h"
 #include "flash/vth_model.h"
 #include "host/factory.h"
-#include "nand/randomizer.h"
 #include "ssd/ssd.h"
 #include "workload/zipf.h"
 
@@ -134,13 +130,6 @@ TEST(EdgeEcc, ZeroRberNeverFails) {
   EXPECT_DOUBLE_EQ(ecc.expected_errors(0.0), 0.0);
 }
 
-TEST(EdgeRandomizer, EmptySpanIsNoop) {
-  const nand::Randomizer r;
-  std::vector<std::uint8_t> empty;
-  r.apply(0, 0, empty);  // Must not crash.
-  EXPECT_TRUE(empty.empty());
-}
-
 TEST(EdgeHistogram, SingleBinTakesEverything) {
   Histogram h(0.0, 1.0, 1);
   h.add(-5);
@@ -148,13 +137,6 @@ TEST(EdgeHistogram, SingleBinTakesEverything) {
   h.add(99);
   EXPECT_EQ(h.count(0), 3u);
   EXPECT_DOUBLE_EQ(h.mass(0), 1.0);
-}
-
-TEST(EdgeCsv, NewlineInCellQuoted) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.row("a\nb");
-  EXPECT_EQ(out.str(), "\"a\nb\"\n");
 }
 
 TEST(EdgeSsd, EmptyDayStillDoesMaintenance) {

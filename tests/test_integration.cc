@@ -1,6 +1,6 @@
-// Cross-module integration tests: the full read path (chip + randomizer +
-// BCH), Monte Carlo vs analytic model agreement, and the end-to-end
-// recovery flow the paper's mechanisms promise.
+// Cross-module integration tests: the full read path (chip + BCH), Monte
+// Carlo vs analytic model agreement, and the end-to-end recovery flow the
+// paper's mechanisms promise.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,13 +12,12 @@
 #include "ftl/ftl.h"
 #include "flash/rber_model.h"
 #include "nand/chip.h"
-#include "nand/randomizer.h"
 
 namespace rdsim {
 namespace {
 
 TEST(Integration, ChipPlusBchReadPathClean) {
-  // Scrambled payload -> BCH -> cells -> read -> BCH decode -> descramble.
+  // Payload -> BCH -> cells -> read -> BCH decode.
   const auto params = flash::FlashModelParams::default_2ynm();
   nand::Chip chip(nand::Geometry{16, 2048, 1}, params, 3);
   auto& block = chip.block(0);
@@ -27,13 +26,10 @@ TEST(Integration, ChipPlusBchReadPathClean) {
   Rng rng(4);
   std::vector<std::uint8_t> payload_bytes(128);
   for (auto& b : payload_bytes) b = static_cast<std::uint8_t>(rng.next());
-  auto scrambled = payload_bytes;
-  const nand::Randomizer randomizer;
-  randomizer.apply(0, 0, scrambled);
 
   ecc::BitVec data_bits(1024);
   for (int i = 0; i < 1024; ++i)
-    data_bits[i] = (scrambled[i / 8] >> (i % 8)) & 1;
+    data_bits[i] = (payload_bytes[i / 8] >> (i % 8)) & 1;
   const auto codeword = code.encode(data_bits);
   ASSERT_LE(codeword.size(), 2048u);
 
@@ -50,7 +46,6 @@ TEST(Integration, ChipPlusBchReadPathClean) {
   std::vector<std::uint8_t> out(128, 0);
   for (int i = 0; i < 1024; ++i)
     out[i / 8] |= static_cast<std::uint8_t>(decoded.data[i] << (i % 8));
-  randomizer.apply(0, 0, out);
   EXPECT_EQ(out, payload_bytes);
 }
 

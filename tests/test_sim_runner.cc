@@ -3,6 +3,8 @@
 // contract — the merged result of an experiment is byte-identical no
 // matter how many threads executed it.
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -135,6 +137,28 @@ TEST(Determinism, SeedActuallyMattersForMonteCarloExperiments) {
   const std::string b =
       run_experiment("fig10", tiny_config(2, 2)).to_csv();
   EXPECT_NE(a, b);
+}
+
+// A [fleet] config is a fleet lifetime run; `scenario` must refuse it and
+// point at fig_fleet rather than silently replaying one drive of it.
+TEST(Scenario, RejectsFleetConfigNamingFigFleet) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rdsim_scenario_fleet.conf")
+          .string();
+  std::ofstream(path) << "[drive]\nbackend = analytic\n"
+                         "[workload]\nprofile = postmark\n"
+                         "[fleet]\ndrives = 4\n";
+  ExperimentConfig config = tiny_config(1);
+  config.scenario_config = path;
+  try {
+    run_experiment("scenario", config);
+    ADD_FAILURE() << "scenario accepted a [fleet] config";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--experiment fig_fleet"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
