@@ -36,7 +36,9 @@
 // service start is the earliest shard start, completion the latest
 // shard completion, and stall the sum of the per-shard attributed
 // stalls (which is also how the per-shard ledgers sum to the device
-// total). Every pump runs physics over everything it took, then timing.
+// total). Every pump runs physics over everything it took, then timing;
+// an all-analytic device runs a pump of fewer than 64 commands on the
+// calling thread, since a pool wake would cost more than its physics.
 // run_closed_loop() runs physics over a whole closed-loop batch up
 // front — its per-shard order is fixed before any stamp is known — and
 // then timing serially as each freed slot yields the next stamp.
@@ -312,11 +314,12 @@ class Device {
   Submitted admit(const Command& command);
 
   /// Physics half: de-stripes commands [0, n) — command_at(k), in service
-  /// order — and services every landing on its shard's servicer, one pool
-  /// task per shard, into costs_. Flushes carry no physics and are
-  /// skipped.
+  /// order — and services every landing on its shard's servicer into
+  /// costs_: one pool task per shard when `pooled`, else shard by shard
+  /// on the calling thread. Flushes carry no physics and are skipped.
   template <typename CommandAt>
-  void service_physics(std::size_t n, const CommandAt& command_at);
+  void service_physics(std::size_t n, const CommandAt& command_at,
+                       bool pooled);
 
   /// Timing half for the k-th command of the last physics pass: schedules
   /// its landings' costs on their shards' timelines at its submit stamp,
@@ -343,6 +346,9 @@ class Device {
   std::uint64_t delivered_ = 0;
 
   std::vector<Shard> shards_;
+  /// No shard has a Monte Carlo chip (Servicer::mc_chip() is null): a
+  /// small pump's physics is too cheap to hand to the pool (pump()).
+  bool analytic_ = true;
   ThreadPool pool_;
   /// Serviced, undelivered completions in log order (completion_log_order).
   /// The first `released_` are final and deliverable; the rest wait until

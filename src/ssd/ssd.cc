@@ -65,7 +65,8 @@ Ssd::Ssd(const SsdConfig& config, const flash::FlashModelParams& params,
       disturb_rber_(config.ftl.blocks, 0.0),
       reads_snapshot_(config.ftl.blocks, 0),
       pe_seen_(config.ftl.blocks, 0),
-      last_refresh_day_(config.ftl.blocks, 0.0) {
+      last_refresh_day_(config.ftl.blocks, 0.0),
+      read_verdicts_(config.ftl.blocks) {
   for (std::uint32_t b = 0; b < config_.ftl.blocks; ++b)
     ftl_.set_block_vpass(b, params.vpass_nominal);
 }
@@ -84,9 +85,12 @@ host::ServiceCost Ssd::service(const host::Command& command) {
         // closed-form model has ECC absorb the errors silently — kOk here
         // means "decoded"; the per-sense kCorrected distinction exists
         // only on the Monte Carlo backends. Never-written pages are
-        // served from the mapping and are trivially kOk.
-        if (blk != ftl::Ftl::kUnmappedBlock &&
-            block_worst_rber(blk) > ecc_.rber_capability()) {
+        // served from the mapping and are trivially kOk. The verdict
+        // comes from a per-block memo keyed on the RBER's full input
+        // tuple (pe_cycles, program_day, now_days, vpass, disturb RBER),
+        // compared exactly: those change only at an erase, a reprogram or
+        // the nightly pass, so most reads skip the model's libm calls.
+        if (blk != ftl::Ftl::kUnmappedBlock && read_uncorrectable(blk)) {
           cost.status = host::worst_status(cost.status,
                                            host::Status::kUncorrectable);
           ++cost.error_pages;
@@ -338,6 +342,25 @@ double Ssd::block_worst_rber(std::uint32_t b) const {
              (model_.base_rber(info.pe_cycles) +
               model_.retention_rber(info.pe_cycles, age) + disturb_rber_[b]) +
          model_.pass_through_rber(info.vpass, age);
+}
+
+bool Ssd::read_uncorrectable(std::uint32_t b) {
+  const auto& info = ftl_.block(b);
+  if (info.state == ftl::BlockInfo::State::kFree || info.valid_pages == 0)
+    return false;
+  ReadVerdict& memo = read_verdicts_[b];
+  const double now = ftl_.now_days();
+  if (memo.pe_cycles != info.pe_cycles ||
+      memo.program_day != info.program_day || memo.now_days != now ||
+      memo.vpass != info.vpass || memo.disturb_rber != disturb_rber_[b]) {
+    memo.pe_cycles = info.pe_cycles;
+    memo.program_day = info.program_day;
+    memo.now_days = now;
+    memo.vpass = info.vpass;
+    memo.disturb_rber = disturb_rber_[b];
+    memo.uncorrectable = block_worst_rber(b) > ecc_.rber_capability();
+  }
+  return memo.uncorrectable;
 }
 
 double Ssd::max_worst_rber() const {

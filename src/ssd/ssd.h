@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,22 @@ class Ssd {
   /// Converts background FTL activity (GC/refresh/reclaim copies and
   /// erases) since the last call into seconds, accumulating the stat.
   double accrue_background();
+  /// The read path's verdict block_worst_rber(b) > rber_capability(),
+  /// recomputed only when block b's entry in read_verdicts_ no longer
+  /// matches its inputs.
+  bool read_uncorrectable(std::uint32_t b);
+
+  /// Everything block_worst_rber(b) reads that can change, and the
+  /// verdict it gave. The NaN day never compares equal, so a fresh entry
+  /// always misses.
+  struct ReadVerdict {
+    std::uint32_t pe_cycles = 0;
+    double program_day = 0.0;
+    double now_days = std::numeric_limits<double>::quiet_NaN();
+    double vpass = 0.0;
+    double disturb_rber = 0.0;
+    bool uncorrectable = false;
+  };
 
   SsdConfig config_;
   flash::RberModel model_;
@@ -141,6 +158,9 @@ class Ssd {
   std::vector<std::uint64_t> reads_snapshot_;  ///< reads at last scan.
   std::vector<std::uint32_t> pe_seen_;         ///< epoch detector.
   std::vector<double> last_refresh_day_;
+  /// Per-block read verdict memo: a cache keyed on its own inputs, so it
+  /// needs no invalidation and stays out of snapshots.
+  std::vector<ReadVerdict> read_verdicts_;
 
   std::uint64_t max_reads_per_interval_ = 0;
   // Counters for incremental background time accounting.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "analytic_drive.h"
+#include "common/rng.h"
+#include "ecc/ecc_model.h"
 #include "host/driver.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -251,6 +253,78 @@ TEST(Ssd, EndToEndWithGeneratedCommandStream) {
   EXPECT_GT(stats.commands(host::CommandKind::kWrite), 0u);
   EXPECT_GT(stats.commands(host::CommandKind::kTrim), 0u);
   EXPECT_GT(stats.commands(host::CommandKind::kFlush), 0u);
+}
+
+TEST(Ssd, ReadVerdictMemoMatchesDirectEvaluation) {
+  // Ssd::service takes a read's uncorrectable verdict from a per-block
+  // memo. Every 1-page read must report exactly the verdict evaluated
+  // here from block_worst_rber: across GC erases and block reallocation
+  // inside a day, trims, Vpass Tuning, several nights, and a mid-day
+  // restore of another drive's state into a drive whose memo holds its
+  // own history.
+  const auto params = flash::FlashModelParams::default_2ynm();
+  // A small drive wears a few P/E cycles a day, and a worst-page factor
+  // far above the physical 1.3 puts its blocks on both sides of the ECC
+  // capability within days.
+  SsdConfig cfg = small_config(/*tuning=*/true);
+  cfg.ftl.blocks = 32;
+  cfg.ftl.pages_per_block = 8;
+  cfg.ftl.overprovision = 0.25;
+  cfg.worst_page_factor = 5e4;
+  const double capability = ecc::EccModel(cfg.ecc).rber_capability();
+  const std::uint64_t logical = cfg.ftl.logical_pages();
+  Ssd ssd(cfg, params, 21);
+  Ssd other(cfg, params, 22);
+  host::Command fill;
+  fill.kind = host::CommandKind::kWrite;
+  fill.pages = static_cast<std::uint32_t>(logical);
+  for (Ssd* drive : {&ssd, &other}) drive->service(fill);
+
+  std::uint64_t reads = 0, uncorrectable = 0;
+  // One random 1-page command. Half the reads hit a hot eighth of the
+  // space; the rest land anywhere, so some blocks go days unread.
+  const auto step = [&](Ssd& drive, Rng& rng) {
+    host::Command c;
+    c.pages = 1;
+    const double u = rng.uniform();
+    if (u < 0.6) {
+      c.kind = host::CommandKind::kRead;
+      c.lpn = rng.uniform_u64(u < 0.3 ? logical / 8 : logical);
+      ftl::Ftl probe = drive.ftl();  // Leaves the drive's read counts alone.
+      const std::uint32_t b = probe.read(c.lpn);
+      const bool expected = b != ftl::Ftl::kUnmappedBlock &&
+                            drive.block_worst_rber(b) > capability;
+      const bool got =
+          drive.service(c).status == host::Status::kUncorrectable;
+      EXPECT_EQ(got, expected) << "read " << reads << " of lpn " << c.lpn;
+      ++reads;
+      uncorrectable += got ? 1 : 0;
+      return;
+    }
+    c.kind = u < 0.95 ? host::CommandKind::kWrite : host::CommandKind::kTrim;
+    c.lpn = rng.uniform_u64(logical);
+    drive.service(c);
+  };
+
+  constexpr int kSteps = 3000;
+  Rng rng(77), other_rng(78);
+  for (int day = 0; day < 6; ++day) {
+    const std::uint64_t erases = ssd.ftl().stats().gc_erases;
+    for (int i = 0; i < kSteps; ++i) {
+      step(ssd, rng);
+      if (day <= 3) step(other, other_rng);
+      if (day == 3 && i == kSteps / 2) {
+        ASSERT_TRUE(ssd.restore(other.snapshot()));
+      }
+    }
+    EXPECT_GT(ssd.ftl().stats().gc_erases, erases) << "day " << day;
+    ssd.end_of_day();
+    other.end_of_day();
+  }
+  EXPECT_GT(ssd.stats().tuned_block_days, 0u);
+  // Both verdicts occur, so the comparison covers each.
+  EXPECT_GT(uncorrectable, 0u);
+  EXPECT_LT(uncorrectable, reads);
 }
 
 }  // namespace
