@@ -10,12 +10,15 @@
 namespace rdsim::host {
 namespace {
 
-/// A pump of fewer commands than this runs an all-analytic device's shard
-/// physics on the calling thread. Measured on a 4-shard analytic drive at
-/// 4 workers (4-CPU Xeon, GCC 12, Release, weighted burst windows): a pool
-/// round trip added 3-10 us per pump against ~0.5 us of host work per
-/// command, so 4- and 16-command windows ran 1.5-2.9x slower per command
-/// through the pool; 64- to 1024-command windows ran -9 % to +38 %.
+/// A physics pass over fewer commands than this runs an all-analytic
+/// device's shards on the calling thread. Measured on rdbench's 4-shard
+/// analytic drive at 4 workers (4-CPU Xeon, GCC 12, Release): a pool round
+/// trip added 3-10 us per pump against ~0.5 us of host work per command,
+/// so 4- and 16-command burst windows ran 1.5-2.9x slower per command
+/// through the pool, and 64- to 1024-command windows -9 % to +38 %. But
+/// warm_fill's one-pass 52 K-page fill is faster pooled: rdbench
+/// tenants_qos setup_s, mostly that fill, read 10.2-10.4 ms pooled and
+/// 13.3-13.6 ms with every pass inline (docs/PERF_RECORDS.md).
 constexpr std::size_t kInlinePumpCommands = 64;
 
 std::vector<std::unique_ptr<Servicer>> one_shard(
@@ -265,8 +268,7 @@ double Device::now_s() const {
 }
 
 template <typename CommandAt>
-void Device::service_physics(std::size_t n, const CommandAt& command_at,
-                             bool pooled) {
+void Device::service_physics(std::size_t n, const CommandAt& command_at) {
   const std::uint32_t shard_n = shard_count();
   const std::uint64_t logical = logical_pages();
   // De-stripe each command once: its first page wrapped into the logical
@@ -305,7 +307,9 @@ void Device::service_physics(std::size_t n, const CommandAt& command_at,
       cost = servicer.service(local);
     }
   };
-  if (pooled) {
+  // Each shard's physics is independent of the others', so where it runs
+  // never shows in the output; a small analytic pass skips the pool wake.
+  if (!analytic_ || n >= kInlinePumpCommands) {
     pool_.for_each(shard_n, serve_shard);
   } else {
     for (std::uint32_t s = 0; s < shard_n; ++s) serve_shard(s);
@@ -320,12 +324,9 @@ void Device::pump(bool force) {
   // service order; each flush is a barrier at its place in that order.
   const std::size_t held_before = held_.size();
   held_.reserve(held_before + pending.size());
-  // Each shard's physics is independent of the others', so where it runs
-  // never shows in the output; a small analytic pump skips the pool wake.
-  service_physics(
-      pending.size(),
-      [&](std::size_t k) -> const Command& { return pending[k].command; },
-      /*pooled=*/!analytic_ || pending.size() >= kInlinePumpCommands);
+  service_physics(pending.size(), [&](std::size_t k) -> const Command& {
+    return pending[k].command;
+  });
   for (std::size_t k = 0; k < pending.size(); ++k)
     held_.push_back(service_timing(pending[k], k));
 
@@ -393,12 +394,9 @@ double Device::run_closed_loop(const std::vector<Command>& commands,
     submit(c);
   }
   const std::vector<Submitted> window = take_pending(/*force=*/true);
-  service_physics(
-      n,
-      [&](std::size_t k) -> const Command& {
-        return k < w ? window[k].command : commands[k];
-      },
-      /*pooled=*/true);
+  service_physics(n, [&](std::size_t k) -> const Command& {
+    return k < w ? window[k].command : commands[k];
+  });
 
   // Timing, serially: the window in service order, then one command per
   // freed slot. in_flight_ is a min-heap in completion_log_order.

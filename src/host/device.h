@@ -37,8 +37,9 @@
 // shard completion, and stall the sum of the per-shard attributed
 // stalls (which is also how the per-shard ledgers sum to the device
 // total). Every pump runs physics over everything it took, then timing;
-// an all-analytic device runs a pump of fewer than 64 commands on the
-// calling thread, since a pool wake would cost more than its physics.
+// an all-analytic device runs a physics pass over fewer than 64 commands
+// on the calling thread, since a pool wake would cost more than its
+// physics.
 // run_closed_loop() runs physics over a whole closed-loop batch up
 // front — its per-shard order is fixed before any stamp is known — and
 // then timing serially as each freed slot yields the next stamp.
@@ -315,11 +316,11 @@ class Device {
 
   /// Physics half: de-stripes commands [0, n) — command_at(k), in service
   /// order — and services every landing on its shard's servicer into
-  /// costs_: one pool task per shard when `pooled`, else shard by shard
-  /// on the calling thread. Flushes carry no physics and are skipped.
+  /// costs_: one pool task per shard, or shard by shard on the calling
+  /// thread when every shard is analytic and n < kInlinePumpCommands.
+  /// Flushes carry no physics and are skipped.
   template <typename CommandAt>
-  void service_physics(std::size_t n, const CommandAt& command_at,
-                       bool pooled);
+  void service_physics(std::size_t n, const CommandAt& command_at);
 
   /// Timing half for the k-th command of the last physics pass: schedules
   /// its landings' costs on their shards' timelines at its submit stamp,
@@ -347,7 +348,8 @@ class Device {
 
   std::vector<Shard> shards_;
   /// No shard has a Monte Carlo chip (Servicer::mc_chip() is null): a
-  /// small pump's physics is too cheap to hand to the pool (pump()).
+  /// small physics pass is too cheap to hand to the pool
+  /// (service_physics()).
   bool analytic_ = true;
   ThreadPool pool_;
   /// Serviced, undelivered completions in log order (completion_log_order).

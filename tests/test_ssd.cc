@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "analytic_drive.h"
 #include "common/rng.h"
 #include "ecc/ecc_model.h"
@@ -325,6 +328,151 @@ TEST(Ssd, ReadVerdictMemoMatchesDirectEvaluation) {
   // Both verdicts occur, so the comparison covers each.
   EXPECT_GT(uncorrectable, 0u);
   EXPECT_LT(uncorrectable, reads);
+}
+
+/// The inputs of block b's worst-page RBER that the read-verdict memo
+/// keys on, in a fixed order.
+constexpr std::array<const char*, 5> kVerdictKey = {
+    "pe_cycles", "program_day", "now_days", "vpass", "disturb_rber"};
+
+std::array<double, 5> verdict_key(const Ssd& ssd, std::uint32_t b) {
+  const ftl::BlockInfo& info = ssd.ftl().block(b);
+  return {static_cast<double>(info.pe_cycles), info.program_day,
+          ssd.ftl().now_days(), info.vpass, ssd.block_disturb_rber(b)};
+}
+
+bool holds_data(const Ssd& ssd, std::uint32_t b) {
+  const ftl::BlockInfo& info = ssd.ftl().block(b);
+  return info.state != ftl::BlockInfo::State::kFree && info.valid_pages > 0;
+}
+
+/// An lpn that `ssd` maps into block b, looked up on a copy of its FTL so
+/// the drive's read counts stay untouched.
+std::uint64_t lpn_in_block(const Ssd& ssd, std::uint32_t b) {
+  ftl::Ftl probe = ssd.ftl();
+  for (std::uint64_t lpn = 0; lpn < ssd.config().ftl.logical_pages(); ++lpn)
+    if (probe.read(lpn) == b) return lpn;
+  ADD_FAILURE() << "no lpn maps into block " << b;
+  return 0;
+}
+
+/// Checks the read-verdict memo against two states of a drive that
+/// differ, for some block holding data in both, in the memo key's field
+/// `field` alone. One drive reads a page of that block in state `first`,
+/// which fills the memo, then is restored to `second` and reads again.
+/// Its worst-page factor puts the ECC capability midway between the
+/// block's worst RBER in the two states, so the verdicts differ and a
+/// memo whose key missed `field` would repeat the first.
+void expect_memo_follows(const Ssd& first, const Ssd& second,
+                         std::size_t field) {
+  SCOPED_TRACE(kVerdictKey[field]);
+  std::uint32_t b = 0;
+  for (; b < first.config().ftl.blocks; ++b) {
+    if (!holds_data(first, b) || !holds_data(second, b)) continue;
+    const auto x = verdict_key(first, b), y = verdict_key(second, b);
+    std::size_t differing = 0;
+    for (std::size_t f = 0; f < x.size(); ++f) differing += x[f] != y[f];
+    if (differing == 1 && x[field] != y[field]) break;
+  }
+  ASSERT_LT(b, first.config().ftl.blocks)
+      << "no block differs in this field alone";
+
+  const auto params = flash::FlashModelParams::default_2ynm();
+  const std::vector<std::uint8_t> states[2] = {first.snapshot(),
+                                               second.snapshot()};
+  const auto drive_at = [&](double factor) {
+    SsdConfig cfg = first.config();
+    cfg.worst_page_factor = factor;
+    return Ssd(cfg, params);
+  };
+  // The worst-page RBER is affine in the factor: r = factor * s + p.
+  double slope[2], offset[2];
+  for (int i = 0; i < 2; ++i) {
+    Ssd one = drive_at(1.0), two = drive_at(2.0);
+    ASSERT_TRUE(one.restore(states[i]));
+    ASSERT_TRUE(two.restore(states[i]));
+    slope[i] = two.block_worst_rber(b) - one.block_worst_rber(b);
+    offset[i] = one.block_worst_rber(b) - slope[i];
+  }
+  const double capability =
+      ecc::EccModel(first.config().ecc).rber_capability();
+  const double factor = (2.0 * capability - offset[0] - offset[1]) /
+                        (slope[0] + slope[1]);
+  ASSERT_GT(factor, 0.0);
+
+  Ssd drive = drive_at(factor);
+  bool verdicts[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(drive.restore(states[i]));
+    host::Command read;
+    read.kind = host::CommandKind::kRead;
+    read.lpn = lpn_in_block(drive, b);
+    const bool expected = drive.block_worst_rber(b) > capability;
+    verdicts[i] =
+        drive.service(read).status == host::Status::kUncorrectable;
+    EXPECT_EQ(verdicts[i], expected) << "state " << i << ", block " << b;
+  }
+  EXPECT_NE(verdicts[0], verdicts[1]);
+}
+
+TEST(Ssd, ReadVerdictMemoFollowsEachKeyFieldAlone) {
+  // Pairs of drive histories whose states differ, for some block, in one
+  // input of the read verdict only. Tuning is off unless it is the
+  // difference, and nothing is read unless reads are, so no other input
+  // moves.
+  const auto params = flash::FlashModelParams::default_2ynm();
+  SsdConfig cfg = small_config(/*tuning=*/false);
+  cfg.ftl.blocks = 32;
+  cfg.ftl.pages_per_block = 8;
+  cfg.ftl.overprovision = 0.25;
+  host::Command fill;
+  fill.kind = host::CommandKind::kWrite;
+  fill.pages = static_cast<std::uint32_t>(cfg.ftl.logical_pages());
+  const auto nights = [](Ssd& ssd, int n) {
+    for (int i = 0; i < n; ++i) ssd.end_of_day();
+  };
+
+  {  // pe_cycles: the same data, rewritten through GC on the same day.
+    Ssd once(cfg, params), worn(cfg, params);
+    once.service(fill);
+    for (int pass = 0; pass < 6; ++pass) worn.service(fill);
+    expect_memo_follows(once, worn, 0);
+  }
+  {  // program_day: the fill lands on day 0 or on day 2, read on day 2.
+    Ssd early(cfg, params), late(cfg, params);
+    early.service(fill);
+    nights(early, 2);
+    nights(late, 2);
+    late.service(fill);
+    expect_memo_follows(early, late, 1);
+  }
+  {  // now_days: one data set, one night older.
+    Ssd young(cfg, params), old(cfg, params);
+    for (Ssd* ssd : {&young, &old}) ssd->service(fill);
+    nights(young, 1);
+    nights(old, 2);
+    expect_memo_follows(young, old, 2);
+  }
+  {  // vpass: one night with and without Vpass Tuning.
+    SsdConfig tuned_cfg = cfg;
+    tuned_cfg.vpass_tuning = true;
+    Ssd nominal(cfg, params), tuned(tuned_cfg, params);
+    for (Ssd* ssd : {&nominal, &tuned}) {
+      ssd->service(fill);
+      nights(*ssd, 1);
+    }
+    expect_memo_follows(nominal, tuned, 3);
+  }
+  {  // disturb_rber: one night with and without reads of the whole space.
+    Ssd quiet(cfg, params), read(cfg, params);
+    for (Ssd* ssd : {&quiet, &read}) ssd->service(fill);
+    host::Command reads = fill;
+    reads.kind = host::CommandKind::kRead;
+    for (int pass = 0; pass < 2000; ++pass) read.service(reads);
+    nights(quiet, 1);
+    nights(read, 1);
+    expect_memo_follows(quiet, read, 4);
+  }
 }
 
 }  // namespace
