@@ -88,7 +88,7 @@ int main() {
 
   // --- 5. The queued host interface ----------------------------------------
   // The same physics, driven the way a host drives a drive: submit typed
-  // commands into submission queues, poll completion records back.
+  // commands into submission queues, drain completion records back.
   host::Device device(
       std::make_unique<host::ChipServicer>(nand::Geometry::tiny(), params,
                                            /*seed=*/7, host::LatencyParams{}),

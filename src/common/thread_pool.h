@@ -10,8 +10,8 @@
 // per-index state), and map() returns results in index order — so the
 // merged output of a run is byte-identical no matter how many threads
 // executed it or how the OS scheduled them. docs/ARCHITECTURE.md spells
-// out the contract; sim::ExperimentRunner and host::Device are its two
-// instantiations.
+// out the contract; sim::ExperimentContext and host::Device are its two
+// users.
 #pragma once
 
 #include <atomic>

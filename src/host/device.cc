@@ -131,8 +131,7 @@ Device::Submitted Device::admit(const Command& command) {
   if (command.kind == CommandKind::kFlush) {
     // A flush closes its epoch: it sorts after every co-epoch command
     // (+inf key) and everything submitted afterwards lands in the next
-    // epoch, so no policy can reorder across the barrier. Closing the
-    // epoch also makes the whole epoch order-final immediately.
+    // epoch, so no policy can reorder across the barrier.
     sub.key = std::numeric_limits<double>::infinity();
     ++flush_epoch_;
   } else {
@@ -175,59 +174,18 @@ bool Device::arbitration_order(const Submitted& a, const Submitted& b) {
   return a.id < b.id;
 }
 
-bool Device::order_final(const Submitted& sub) const {
-  if (arb_.policy == ArbitrationPolicy::kFifo) return true;
-  if (sub.epoch < flush_epoch_) return true;  // Epoch closed by a flush.
-  // A future command from tenant t gets key >= bound_t (each bound is
-  // monotone over submissions), tenant t, and a larger id — so `sub`
-  // precedes it iff sub.key < bound_t, or the keys tie and sub.tenant
-  // <= t (equal tenant wins on the smaller id).
-  const std::uint32_t tenants = tenant_count();
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    double bound = 0.0;
-    switch (arb_.policy) {
-      case ArbitrationPolicy::kRoundRobin:
-        bound = static_cast<double>(rr_round_[t]);
-        break;
-      case ArbitrationPolicy::kWeighted:
-        // Smallest possible future finish time: one page of work.
-        bound = virtual_finish_[t] + 1.0 / tenant_weight(arb_, t);
-        break;
-      case ArbitrationPolicy::kDeadline:
-        // Submit stamps are non-decreasing (submit() clamps them).
-        bound = max_submit_s_ + tenant_deadline_s(arb_, t);
-        break;
-      case ArbitrationPolicy::kFifo:
-        return true;
-    }
-    const bool precedes =
-        sub.key < bound || (sub.key == bound && sub.command.tenant <= t);
-    if (!precedes) return false;
-  }
-  return true;
-}
-
-std::vector<Device::Submitted> Device::take_pending(bool force) {
+std::vector<Device::Submitted> Device::take_pending() {
   std::vector<Submitted> taken;
-  if (pending_.empty()) return taken;
   if (arb_.policy == ArbitrationPolicy::kFifo) {
-    // Everything is final and pending_ is already in service order.
+    // pending_ is already in service order (id order).
     taken.swap(pending_);
     return taken;
   }
+  // Copy out rather than swap, so pending_ keeps its capacity for the
+  // next burst window.
   std::sort(pending_.begin(), pending_.end(), arbitration_order);
-  std::size_t n = pending_.size();
-  if (!force) {
-    // The order-final predicate is downward closed in arbitration order,
-    // so the finalized commands are exactly a prefix of the sorted
-    // pending set: stop at the first unfinalized one.
-    n = 0;
-    while (n < pending_.size() && order_final(pending_[n])) ++n;
-  }
-  taken.assign(pending_.begin(),
-               pending_.begin() + static_cast<std::ptrdiff_t>(n));
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(n));
+  taken.assign(pending_.begin(), pending_.end());
+  pending_.clear();
   return taken;
 }
 
@@ -316,8 +274,8 @@ void Device::service_physics(std::size_t n, const CommandAt& command_at) {
   }
 }
 
-void Device::pump(bool force) {
-  const std::vector<Submitted> pending = take_pending(force);
+void Device::pump() {
+  const std::vector<Submitted> pending = take_pending();
   if (pending.empty()) return;
 
   // The new records go straight behind the (sorted) held ones, in
@@ -332,12 +290,10 @@ void Device::pump(bool force) {
 
   const auto fresh = held_.begin() + static_cast<std::ptrdiff_t>(held_before);
   // Sort only the new run (a one-shard FIFO drive already produces it in
-  // log order), then merge it behind the released prefix, which no new
-  // record can precede (see release_ready).
+  // log order), then merge it with the records held since the last drain.
   if (!std::is_sorted(fresh, held_.end(), completion_log_order))
     std::sort(fresh, held_.end(), completion_log_order);
-  std::inplace_merge(held_.begin() + static_cast<std::ptrdiff_t>(released_),
-                     fresh, held_.end(), completion_log_order);
+  std::inplace_merge(held_.begin(), fresh, held_.end(), completion_log_order);
 }
 
 Completion Device::service_timing(const Submitted& sub, std::size_t k) {
@@ -393,7 +349,7 @@ double Device::run_closed_loop(const std::vector<Command>& commands,
     c.submit_time_s = release_s;
     submit(c);
   }
-  const std::vector<Submitted> window = take_pending(/*force=*/true);
+  const std::vector<Submitted> window = take_pending();
   service_physics(n, [&](std::size_t k) -> const Command& {
     return k < w ? window[k].command : commands[k];
   });
@@ -447,48 +403,17 @@ Completion Device::service_flush(const Submitted& sub) {
   return rec;
 }
 
-void Device::release_ready() {
-  // A held record's log position is final once nothing can still slot in
-  // before it: future submissions complete no earlier than the newest
-  // submit stamp seen (submit() keeps stamps non-decreasing; a tie goes
-  // to the held record's smaller id), and commands a reordering policy
-  // left queued complete no earlier than their own submit stamp (strict
-  // bound — a queued command may carry a smaller id, so it wins a tie).
-  // Both bounds only grow, so a released record is never overtaken.
-  double unserviced_s = std::numeric_limits<double>::infinity();
-  for (const Submitted& sub : pending_)
-    unserviced_s = std::min(unserviced_s, sub.command.submit_time_s);
-  while (released_ < held_.size() &&
-         held_[released_].complete_time_s <= max_submit_s_ &&
-         held_[released_].complete_time_s < unserviced_s)
-    ++released_;
-}
-
-std::size_t Device::poll(std::vector<Completion>* out,
-                         std::size_t max_completions) {
-  pump(/*force=*/false);
-  release_ready();
-  const std::size_t n = std::min(max_completions, released_);
-  const auto end = held_.begin() + static_cast<std::ptrdiff_t>(n);
-  out->insert(out->end(), held_.begin(), end);
-  held_.erase(held_.begin(), end);
-  released_ -= n;
-  delivered_ += n;
-  return n;
-}
-
 std::size_t Device::drain(std::vector<Completion>* out) {
-  pump(/*force=*/true);
+  pump();
   const std::size_t n = held_.size();
   out->insert(out->end(), held_.begin(), held_.end());
   held_.clear();
-  released_ = 0;
   delivered_ += n;
   return n;
 }
 
 void Device::end_of_day() {
-  pump(/*force=*/true);
+  pump();
   // Whatever flash busy time a shard's nightly maintenance consumed
   // occupies the next free window of that shard's timeline.
   for (Shard& shard : shards_) {
@@ -498,12 +423,12 @@ void Device::end_of_day() {
 }
 
 const CompletionStats& Device::stats() {
-  pump(/*force=*/true);
+  pump();
   return stats_;
 }
 
 void Device::reset_stats() {
-  pump(/*force=*/true);
+  pump();
   stats_ = CompletionStats();
   for (Shard& shard : shards_) shard.stall_seconds = 0.0;
 }

@@ -4,7 +4,7 @@
 // over N backend shards (one host::Servicer + one FlashTimeline per
 // shard; servicer.h). Hosts submit typed Commands into submission queues
 // and retrieve per-command Completion records through an explicit
-// submit()/poll()/drain() model. The shard slot takes Monte Carlo chips
+// submit()/drain() model. The shard slot takes Monte Carlo chips
 // (ChipServicer) and analytic drives (SsdServicer) alike, and a single
 // drive or chip is simply the one-shard case (the global command reaches
 // the lone servicer verbatim). host::make_device (factory.h) builds every
@@ -52,42 +52,29 @@
 // generators do). The tenant policies — round-robin across tenants,
 // weighted fair queueing, earliest deadline first — reorder co-pending
 // commands deterministically: every command's arbitration key is
-// computed at submit() time as a pure function of the submission stream,
-// so the service order never depends on when servicing happens. Flushes
-// partition the stream into epochs (arbitration never reorders across a
-// flush, which is what makes the flush barrier exact under every
-// policy).
+// computed at submit() time as a pure function of the submission stream
+// (admit()), and each sync point services everything queued in key
+// order. Flushes partition the stream into epochs (arbitration never
+// reorders across a flush, which is what makes the flush barrier exact
+// under every policy).
 //
 // Determinism. The completion log is a pure function of the submission
-// stream — simulated clocks only, never the wall clock, the poll cadence
-// or the worker count — which docs/ARCHITECTURE.md states as the
+// stream and its sync points — simulated clocks only, never the wall
+// clock or the worker count — which docs/ARCHITECTURE.md states as the
 // determinism contract and tests/test_host.cc, tests/test_sharded_device.cc
-// and tests/test_arbitration.cc pin. Three rules make it hold:
-//   * Service order is final before servicing. poll() services only the
-//     sorted prefix of pending commands that no future submission could
-//     precede: each policy admits a monotone lower bound on all future
-//     keys (per tenant: the next round index, the next virtual finish
-//     time, the newest submit time + deadline). drain(), end_of_day(),
-//     stats() and reset_stats() service everything — they are
-//     synchronization points of the submission stream, like a flush.
-//     Under FIFO every pending command is always final.
+// and tests/test_arbitration.cc pin. Two rules make it hold:
+//   * Commands are serviced only at synchronization points. submit()
+//     only queues; drain(), end_of_day(), stats(), reset_stats() and
+//     run_closed_loop() service everything queued, in arbitration order.
+//     Only drain() delivers records: every serviced one, in
+//     completion_log_order.
 //   * Shards are independent. Shard assignment is a pure function of the
 //     lpn and each shard services its sub-stream in service order against
 //     its own timeline; worker threads only decide where a shard's
 //     (single-threaded) work runs. The per-shard records merge into one
 //     log ordered by (complete_time, id) — completion_log_order.
-//   * Log positions are final before delivery. Completion times are not
-//     monotone in submission order, so poll() withholds a serviced record
-//     until nothing can still slot in before it: it must complete no
-//     later than the newest submit stamp seen (submit() keeps stamps
-//     non-decreasing, and a later command wins no tie — its id is
-//     larger), and strictly before the earliest submit stamp of any
-//     command a reordering policy left queued. The released records form
-//     a prefix of the merged log that is never overtaken, so each pump
-//     merges its fresh records behind that prefix. drain() delivers
-//     everything.
-// Polling cadences that end in one drain therefore all observe the
-// identical log, at any worker count.
+// Under FIFO the service order is id order whatever the sync points, so
+// every drain cadence yields the same records, at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -145,24 +132,19 @@ class Device {
   }
 
   /// Enqueues one command; returns its device-assigned sequence id.
-  /// Servicing is lazy (poll/drain/stats/end_of_day trigger it), but the
-  /// schedule a command receives does not depend on when that happens.
-  /// Submit stamps must not decrease: a stamp older than one already
-  /// submitted is clamped up to the newest (and counted, see
-  /// clamped_submits()), because poll finality and background-window
-  /// pruning both rely on it.
+  /// Servicing is lazy (drain/stats/end_of_day trigger it). Submit
+  /// stamps must not decrease: a stamp older than one already submitted
+  /// is clamped up to the newest (and counted, see clamped_submits()),
+  /// because FlashTimeline prunes its background windows on that
+  /// assumption.
   std::uint64_t submit(const Command& command);
 
   /// Commands whose submit stamp submit() had to clamp.
   std::uint64_t clamped_submits() const { return clamped_submits_; }
 
-  /// Moves up to `max_completions` completion records (log order) into
-  /// `out` (appended); returns how many were delivered. Records whose log
-  /// position could still change are withheld (see the header comment);
-  /// drain() always delivers everything.
-  std::size_t poll(std::vector<Completion>* out, std::size_t max_completions);
-
-  /// Drains every pending completion into `out`; returns the count.
+  /// Services everything queued and appends every undelivered completion
+  /// record to `out` in log order (completion_log_order); returns the
+  /// count. The only call that delivers records.
   std::size_t drain(std::vector<Completion>* out);
 
   /// Closed-loop (zero think time) replay of one batch at queue depth
@@ -197,7 +179,8 @@ class Device {
   /// untouched.
   void reset_stats();
 
-  /// Commands submitted but not yet delivered through poll()/drain().
+  /// Commands submitted but not yet delivered by drain() (servicing
+  /// through stats() or end_of_day() delivers nothing).
   std::size_t outstanding() const { return submitted_ - delivered_; }
 
   /// Current simulated time: end of the last scheduled work across the
@@ -289,25 +272,11 @@ class Device {
   /// service order is id order (take_pending).
   static bool arbitration_order(const Submitted& a, const Submitted& b);
 
-  /// True when no future submission could precede `sub` in the service
-  /// order (its position is final). Pure function of the submission
-  /// stream so far, and monotone: once final, always final.
-  bool order_final(const Submitted& sub) const;
+  /// Pops every queued command, in arbitration order.
+  std::vector<Submitted> take_pending();
 
-  /// Pops queued commands in arbitration order. With force, every
-  /// pending command; without, only the prefix whose service order no
-  /// future submission could change (under FIFO that is everything).
-  std::vector<Submitted> take_pending(bool force);
-
-  /// Services the taken commands and merges their records into held_
-  /// behind the released prefix. poll() passes force = false (only the
-  /// order-final prefix is serviced); drain/stats/end_of_day/reset_stats
-  /// pass force = true.
-  void pump(bool force);
-
-  /// Extends the released prefix of held_ over every record whose log
-  /// position is final.
-  void release_ready();
+  /// Services every queued command and merges the records into held_.
+  void pump();
 
   /// submit()'s bookkeeping, shared with run_closed_loop: maps queue and
   /// tenant into range, assigns the id, flush epoch and arbitration key,
@@ -353,10 +322,7 @@ class Device {
   bool analytic_ = true;
   ThreadPool pool_;
   /// Serviced, undelivered completions in log order (completion_log_order).
-  /// The first `released_` are final and deliverable; the rest wait until
-  /// release_ready() finds their position final.
   std::vector<Completion> held_;
-  std::size_t released_ = 0;
   /// Physics scratch, reused across passes: costs_[cmd * shards + shard]
   /// (written only where the command lands) and starts_[cmd].
   std::vector<ServiceCost> costs_;

@@ -56,8 +56,8 @@ class ClosedLoopDriver {
   /// *sink exactly once (the first `depth` in completion_log_order, then
   /// the rest in submission order), so callers that need the completion
   /// log — the trace replayer's latency CDFs — can drive closed-loop
-  /// without re-polling. nullptr (the default) disables it; the replay
-  /// schedule is unaffected either way.
+  /// without draining themselves. nullptr (the default) disables it; the
+  /// replay schedule is unaffected either way.
   void set_completion_sink(std::vector<Completion>* sink) { sink_ = sink; }
 
   /// Replays one batch of commands (submit-time stamps are overwritten);
@@ -83,8 +83,8 @@ class ClosedLoopDriver {
 /// multi-tenant QoS experiments drive with this; the window size plays
 /// the queue-depth role. Deterministic for the same reason as
 /// ClosedLoopDriver: the schedule is a pure function of the command
-/// stream and the window size (the drain per window is also what
-/// finalizes each window's service order under every policy).
+/// stream and the window size (the drain per window is the sync point
+/// that services each window as one co-pending set under every policy).
 class BurstWindowDriver {
  public:
   BurstWindowDriver(Device& device, int window)

@@ -3,12 +3,19 @@
 #include <algorithm>
 
 namespace rdsim::host {
+namespace {
 
-CompletionStats::CompletionStats(double max_latency_s, std::size_t bins)
-    : kinds_{KindAgg(max_latency_s, bins), KindAgg(max_latency_s, bins),
-             KindAgg(max_latency_s, bins), KindAgg(max_latency_s, bins)},
-      hist_max_latency_s_(max_latency_s),
-      hist_bins_(bins) {}
+/// Every latency histogram's range and resolution: 250 ms at 5 us.
+constexpr double kMaxLatencyS = 0.25;
+constexpr std::size_t kLatencyBins = 50000;
+
+}  // namespace
+
+CompletionStats::KindAgg::KindAgg()
+    : latency(0.0, kMaxLatencyS, kLatencyBins) {}
+
+CompletionStats::TenantAgg::TenantAgg()
+    : read_latency(0.0, kMaxLatencyS, kLatencyBins) {}
 
 void CompletionStats::add(const Completion& c) {
   KindAgg& agg = at(c.kind);
@@ -30,8 +37,7 @@ void CompletionStats::add(const Completion& c) {
   error_pages_ += c.error_pages;
   if (c.kind == CommandKind::kRead) read_error_pages_ += c.error_pages;
 
-  while (tenants_.size() <= c.tenant)
-    tenants_.emplace_back(hist_max_latency_s_, hist_bins_);
+  if (tenants_.size() <= c.tenant) tenants_.resize(c.tenant + 1);
   TenantAgg& ten = tenants_[c.tenant];
   if (ten.commands == 0 || c.submit_time_s < ten.first_submit_s)
     ten.first_submit_s = c.submit_time_s;

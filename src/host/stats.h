@@ -8,7 +8,10 @@
 // per-tenant IOPS, read-latency quantiles, stall share, and error-status
 // counts alongside the global aggregates (the tenant_* accessors; the
 // per-tenant rows always sum back to the global log — the conservation
-// invariant tests/test_arbitration.cc enforces).
+// invariant tests/test_arbitration.cc enforces). Every latency histogram
+// spans [0, 250 ms) at 5 us resolution; samples beyond the range clamp
+// into the last bin, so a saturated tail reports the histogram ceiling —
+// never silently less (max_latency_s() stays exact).
 #pragma once
 
 #include <array>
@@ -22,13 +25,6 @@ namespace rdsim::host {
 
 class CompletionStats {
  public:
-  /// Latency histograms span [0, max_latency_s) at max_latency_s / bins
-  /// resolution (default 250 ms at 5 us); samples beyond the range clamp
-  /// into the last bin, so a saturated tail reports the histogram
-  /// ceiling — never silently less (max_latency_s() stays exact).
-  explicit CompletionStats(double max_latency_s = 0.25,
-                           std::size_t bins = 50000);
-
   void add(const Completion& completion);
 
   std::uint64_t commands() const { return commands_; }
@@ -105,8 +101,7 @@ class CompletionStats {
     double latency_sum_s = 0.0;
     double max_s = 0.0;
     Histogram latency;
-    explicit KindAgg(double max_latency_s, std::size_t bins)
-        : latency(0.0, max_latency_s, bins) {}
+    KindAgg();
   };
   /// One tenant's slice of the stream. Only reads get a latency
   /// histogram — the per-tenant tail the QoS experiments report is read
@@ -125,8 +120,7 @@ class CompletionStats {
     Histogram read_latency;
     double first_submit_s = 0.0;
     double last_complete_s = 0.0;
-    TenantAgg(double max_latency_s, std::size_t bins)
-        : read_latency(0.0, max_latency_s, bins) {}
+    TenantAgg();
   };
   const KindAgg& at(CommandKind kind) const {
     return kinds_[static_cast<std::size_t>(kind)];
@@ -148,8 +142,6 @@ class CompletionStats {
   double stall_seconds_ = 0.0;
   double first_submit_s_ = 0.0;
   double last_complete_s_ = 0.0;
-  double hist_max_latency_s_;  ///< Histogram shape for lazily-grown
-  std::size_t hist_bins_;      ///< per-tenant slices.
 };
 
 }  // namespace rdsim::host

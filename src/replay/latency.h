@@ -7,7 +7,7 @@
 // questions trace studies ask — "what does the tail look like, and when
 // does it spike?" — from the same Completion records, with no dependence
 // on delivery order (windows are indexed by completion timestamp, so any
-// worker count and poll cadence yields identical tables).
+// worker count and drain cadence yields identical tables).
 #pragma once
 
 #include <cstdint>

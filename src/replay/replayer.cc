@@ -11,22 +11,11 @@
 namespace rdsim::replay {
 namespace {
 
-/// Folds one drained batch into the summary/tracker/log.
+/// Folds one drained batch into the tracker/log.
 void absorb(const std::vector<host::Completion>& batch,
-            ReplaySummary* summary, LatencyTracker* tracker,
-            std::vector<host::Completion>* log) {
-  for (const host::Completion& c : batch) {
-    ++summary->commands;
-    if (c.kind == host::CommandKind::kRead) ++summary->reads;
-    if (c.kind == host::CommandKind::kWrite) ++summary->writes;
-    ++summary->status_counts[static_cast<std::size_t>(c.status)];
-    summary->stall_seconds += c.stall_s;
-    if (summary->commands == 1 || c.submit_time_s < summary->first_submit_s)
-      summary->first_submit_s = c.submit_time_s;
-    summary->last_complete_s =
-        std::max(summary->last_complete_s, c.complete_time_s);
-    if (tracker != nullptr) tracker->observe(c);
-  }
+            LatencyTracker* tracker, std::vector<host::Completion>* log) {
+  if (tracker != nullptr)
+    for (const host::Completion& c : batch) tracker->observe(c);
   if (log != nullptr) log->insert(log->end(), batch.begin(), batch.end());
 }
 
@@ -44,10 +33,9 @@ host::Command to_command(const workload::IoRequest& r, std::uint64_t seq,
 
 }  // namespace
 
-ReplaySummary replay_trace(std::istream& in, host::Device& device,
-                           const ReplayOptions& options,
-                           LatencyTracker* tracker,
-                           std::vector<host::Completion>* log) {
+void replay_trace(std::istream& in, host::Device& device,
+                  const ReplayOptions& options, LatencyTracker* tracker,
+                  std::vector<host::Completion>* log) {
   StreamingTraceReader reader(in, options.format, options.page_bytes);
   const LbaRemapper remapper(options.remap, device.logical_pages());
   const double origin_s = device.now_s();
@@ -57,7 +45,6 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
   const double speedup = std::max(1e-6, options.speedup);
   const std::uint32_t queues = std::max(1u, device.queue_count());
 
-  ReplaySummary summary;
   std::vector<workload::IoRequest> chunk;
   std::vector<host::Completion> drained;
   std::uint64_t seq = 0;
@@ -77,7 +64,7 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
       // segment, and memory stays O(window).
       drained.clear();
       device.drain(&drained);
-      absorb(drained, &summary, tracker, log);
+      absorb(drained, tracker, log);
     }
   } else {
     // QD-bounded: the driver re-stamps submit times as slots free; trace
@@ -94,7 +81,7 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
         commands.push_back(to_command(r, seq++, queues));
       }
       driver.run(commands);
-      absorb(sunk, &summary, tracker, log);
+      absorb(sunk, tracker, log);
       sunk.clear();
     }
   }
@@ -105,10 +92,9 @@ ReplaySummary replay_trace(std::istream& in, host::Device& device,
   // completed earlier on an idle shard.
   drained.clear();
   device.drain(&drained);
-  absorb(drained, &summary, tracker, log);
+  absorb(drained, tracker, log);
   if (log != nullptr)
     std::sort(log->begin(), log->end(), host::completion_log_order);
-  return summary;
 }
 
 }  // namespace rdsim::replay

@@ -45,24 +45,14 @@ struct ReplayOptions {
   std::size_t window = 4096;       ///< Streaming chunk size (memory bound).
 };
 
-/// What a replay did, aggregated from the completion records.
-struct ReplaySummary {
-  std::uint64_t commands = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t status_counts[host::kStatusCount] = {};
-  double first_submit_s = 0.0;
-  double last_complete_s = 0.0;
-  double stall_seconds = 0.0;
-};
-
 /// Replays the trace in `in` against `device`. Completions are observed
 /// by *tracker (its origin is set to the device clock at replay start)
 /// and, when `log` is non-null, appended to it in completion_log_order.
-/// Returns the aggregate summary. The device is fully drained on return.
-ReplaySummary replay_trace(std::istream& in, host::Device& device,
-                           const ReplayOptions& options,
-                           LatencyTracker* tracker,
-                           std::vector<host::Completion>* log = nullptr);
+/// The device is fully drained on return; its stats() aggregate the
+/// replay together with anything it completed since its last
+/// reset_stats().
+void replay_trace(std::istream& in, host::Device& device,
+                  const ReplayOptions& options, LatencyTracker* tracker,
+                  std::vector<host::Completion>* log = nullptr);
 
 }  // namespace rdsim::replay

@@ -72,8 +72,8 @@ const ExperimentInfo* find_experiment(std::string_view name) {
 
 Table run_experiment(const ExperimentInfo& info,
                      const ExperimentConfig& config) {
-  ExperimentRunner runner(config.threads);
-  ExperimentContext ctx(config, runner);
+  ThreadPool pool(config.threads);
+  ExperimentContext ctx(config, pool);
   return info.fn(ctx);
 }
 

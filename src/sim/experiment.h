@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nand/geometry.h"
-#include "sim/runner.h"
 #include "sim/table.h"
 
 namespace rdsim::sim {
@@ -56,8 +56,8 @@ struct ExperimentConfig {
 
 class ExperimentContext {
  public:
-  ExperimentContext(const ExperimentConfig& config, ExperimentRunner& runner)
-      : config_(config), runner_(&runner) {}
+  ExperimentContext(const ExperimentConfig& config, ThreadPool& pool)
+      : config_(config), pool_(&pool) {}
 
   std::uint64_t seed() const { return config_.seed; }
   const nand::Geometry& geometry() const { return config_.geometry; }
@@ -65,7 +65,7 @@ class ExperimentContext {
   /// Every input of the run; `scenario` and `fig_fleet` read their
   /// file, profile, trace and checkpoint knobs straight from it.
   const ExperimentConfig& config() const { return config_; }
-  ExperimentRunner& runner() { return *runner_; }
+  ThreadPool& pool() { return *pool_; }
 
   /// `count` scaled by the volume knob, kept >= `floor`.
   double scaled(double count, double floor = 1.0) const {
@@ -86,7 +86,7 @@ class ExperimentContext {
     const std::uint64_t base = stream_base_;
     stream_base_ += n;
     const std::uint64_t seed = config_.seed;
-    return runner_->map<R>(n, [&fn, base, seed](std::size_t i) {
+    return pool_->map<R>(n, [&fn, base, seed](std::size_t i) {
       Rng rng = Rng::stream(seed, base + i);
       return fn(i, rng);
     });
@@ -94,7 +94,7 @@ class ExperimentContext {
 
  private:
   ExperimentConfig config_;
-  ExperimentRunner* runner_;
+  ThreadPool* pool_;
   std::uint64_t stream_base_ = 0;
 };
 

@@ -72,7 +72,7 @@ Table run_fig_fleet(ExperimentContext& ctx) {
   if (!config.fleet_resume.empty()) {
     std::string error;
     runner = fleet::FleetRunner::from_checkpoint_file(config.fleet_resume,
-                                                      ctx.runner(), &error);
+                                                      ctx.pool(), &error);
     if (runner == nullptr)
       throw std::runtime_error("cannot resume from '" + config.fleet_resume +
                                "': " + error);
@@ -96,7 +96,7 @@ Table run_fig_fleet(ExperimentContext& ctx) {
             ? default_fleet_spec(ctx)
             : fleet_spec_from_config(config.scenario_config);
     runner = std::make_unique<fleet::FleetRunner>(spec, ctx.seed(),
-                                                  ctx.runner());
+                                                  ctx.pool());
   }
 
   fleet::FleetOptions options;

@@ -33,7 +33,7 @@ Table run_fig_reliability(ExperimentContext& ctx) {
   // the default move continuously.
   const std::uint64_t drive_seed = 31 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 8642 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
+  const int workers = ctx.pool().thread_count();
 
   Table table;
   table.comment(

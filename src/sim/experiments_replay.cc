@@ -29,10 +29,9 @@ namespace {
 
 /// One (backend, mode) replay pass over the sample trace. The tracker
 /// must outlive the call (sections 2/3 read it after the loop).
-replay::ReplaySummary replay_combo(host::Device& device,
-                                   const std::string& trace_path,
-                                   replay::ReplayMode mode, double speedup,
-                                   replay::LatencyTracker* tracker) {
+void replay_combo(host::Device& device, const std::string& trace_path,
+                  replay::ReplayMode mode, double speedup,
+                  replay::LatencyTracker* tracker) {
   std::ifstream file(trace_path);
   if (!file)
     throw std::runtime_error("cannot open trace file '" + trace_path + "'");
@@ -43,12 +42,14 @@ replay::ReplaySummary replay_combo(host::Device& device,
   opts.queue_depth = 8;
   opts.speedup = speedup;
   opts.window = 64;  // Exercise the streaming path: 200 records, 4 chunks.
-  return replay::replay_trace(file, device, opts, tracker);
+  replay::replay_trace(file, device, opts, tracker);
 }
 
 }  // namespace
 
 Table run_fig_trace_replay(ExperimentContext& ctx) {
+  using host::CommandKind;
+  using host::Status;
   const std::string trace_path =
       find_test_data("msr_cambridge_sample.csv");
   if (trace_path.empty())
@@ -63,7 +64,7 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
   const double kSpeedup = 50.0;
   const double kWindowS = 0.5;
   const std::uint64_t drive_seed = 19 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
+  const int workers = ctx.pool().thread_count();
 
   struct Combo {
     const char* backend;
@@ -110,8 +111,10 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
 
     trackers.emplace_back(kWindowS, 1e5, 20000);
     replay::LatencyTracker& tracker = trackers.back();
-    const replay::ReplaySummary summary = replay_combo(
-        *device, trace_path, combo.mode, kSpeedup, &tracker);
+    replay_combo(*device, trace_path, combo.mode, kSpeedup, &tracker);
+    // Warm fill resets the statistics and MC drives start empty, so
+    // they cover exactly the replay.
+    const host::CompletionStats& stats = device->stats();
     if (spec.drive.backend == cfg::Backend::kShardedMc &&
         combo.mode == replay::ReplayMode::kOpen)
       detail = &tracker;
@@ -119,15 +122,16 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
     table.row(strf(
         "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.1f,%.1f,%.1f,%.6f",
         combo.backend, std::string(name(combo.mode)).c_str(),
-        static_cast<unsigned long long>(summary.commands),
-        static_cast<unsigned long long>(summary.reads),
-        static_cast<unsigned long long>(summary.writes),
-        static_cast<unsigned long long>(summary.status_counts[0]),
-        static_cast<unsigned long long>(summary.status_counts[1]),
-        static_cast<unsigned long long>(summary.status_counts[2]),
-        static_cast<unsigned long long>(summary.status_counts[3]),
+        static_cast<unsigned long long>(stats.commands()),
+        static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
+        static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
+        static_cast<unsigned long long>(stats.commands(Status::kOk)),
+        static_cast<unsigned long long>(stats.commands(Status::kCorrected)),
+        static_cast<unsigned long long>(stats.commands(Status::kRecovered)),
+        static_cast<unsigned long long>(
+            stats.commands(Status::kUncorrectable)),
         tracker.read_quantile_us(0.50), tracker.read_quantile_us(0.99),
-        tracker.read_quantile_us(0.999), summary.stall_seconds));
+        tracker.read_quantile_us(0.999), stats.stall_seconds()));
   }
 
   table.new_section();

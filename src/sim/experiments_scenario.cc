@@ -182,9 +182,8 @@ Table run_scenario(ExperimentContext& ctx) {
   const std::uint64_t drive_seed = 17 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 7531 + (ctx.seed() - 42);
   const std::unique_ptr<host::Device> device =
-      build_drive(spec, drive_seed, ctx.runner().thread_count());
+      build_drive(spec, drive_seed, ctx.pool().thread_count());
 
-  replay::ReplaySummary trace_summary;
   if (spec.trace.enabled()) {
     // Real-trace replay through src/replay instead of the generator.
     std::ifstream file(spec.trace.path);
@@ -198,7 +197,7 @@ Table run_scenario(ExperimentContext& ctx) {
     opts.queue_depth = spec.trace.queue_depth;
     opts.speedup = spec.trace.speedup;
     opts.page_bytes = spec.trace.page_bytes;
-    trace_summary = replay::replay_trace(file, *device, opts, nullptr);
+    replay::replay_trace(file, *device, opts, nullptr);
     device->end_of_day();
   } else {
     drive_days(spec, *device, trace_seed);
@@ -284,16 +283,21 @@ Table run_scenario(ExperimentContext& ctx) {
         "failed_write,read_only,span_s");
     table.row(strf(
         "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f",
-        static_cast<unsigned long long>(trace_summary.commands),
-        static_cast<unsigned long long>(trace_summary.reads),
-        static_cast<unsigned long long>(trace_summary.writes),
-        static_cast<unsigned long long>(trace_summary.status_counts[0]),
-        static_cast<unsigned long long>(trace_summary.status_counts[1]),
-        static_cast<unsigned long long>(trace_summary.status_counts[2]),
-        static_cast<unsigned long long>(trace_summary.status_counts[3]),
-        static_cast<unsigned long long>(trace_summary.status_counts[4]),
-        static_cast<unsigned long long>(trace_summary.status_counts[5]),
-        trace_summary.last_complete_s - trace_summary.first_submit_s));
+        static_cast<unsigned long long>(stats.commands()),
+        static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
+        static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
+        static_cast<unsigned long long>(stats.commands(host::Status::kOk)),
+        static_cast<unsigned long long>(
+            stats.commands(host::Status::kCorrected)),
+        static_cast<unsigned long long>(
+            stats.commands(host::Status::kRecovered)),
+        static_cast<unsigned long long>(
+            stats.commands(host::Status::kUncorrectable)),
+        static_cast<unsigned long long>(
+            stats.commands(host::Status::kFailedWrite)),
+        static_cast<unsigned long long>(
+            stats.commands(host::Status::kReadOnly)),
+        stats.span_s()));
   }
 
   if (sharded) {

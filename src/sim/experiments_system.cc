@@ -217,7 +217,7 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   // move continuously.
   const std::uint64_t drive_seed = 13 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 2468 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
+  const int workers = ctx.pool().thread_count();
 
   // Every shard is pre-aged like a characterization drive: the factory
   // applies heavy P/E wear then fresh random data per block

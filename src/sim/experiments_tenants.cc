@@ -21,9 +21,8 @@
 //
 // Driven by drive_days in burst windows (whole windows co-pending,
 // drained per window), so the completion log — and this table — is a
-// pure function of (seed, scale): byte-identical at any --threads and
-// poll cadence (tests/test_arbitration.cc,
-// tests/test_golden_experiments.cc).
+// pure function of (seed, scale): byte-identical at any --threads
+// (tests/test_arbitration.cc, tests/test_golden_experiments.cc).
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,7 +66,7 @@ Table run_fig_qos_tenants(ExperimentContext& ctx) {
   // move continuously.
   const std::uint64_t drive_seed = 19 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 8642 + (ctx.seed() - 42);
-  const int workers = ctx.runner().thread_count();
+  const int workers = ctx.pool().thread_count();
 
   const host::ArbitrationPolicy policies[] = {
       host::ArbitrationPolicy::kFifo, host::ArbitrationPolicy::kRoundRobin,

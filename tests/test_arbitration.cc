@@ -9,9 +9,8 @@
 //   4. round-robin starvation-freedom — a victim's k-th command is never
 //      serviced behind more than k commands of a hammering tenant;
 //   5. determinism — per policy, the completion log is byte-identical
-//      across poll cadences (both drive widths) and across worker counts
-//      (four shards), and a single-tenant arbitration config reproduces the
-//      untagged FIFO log byte-for-byte;
+//      across worker counts (four shards), and a single-tenant
+//      arbitration config reproduces the untagged FIFO log byte-for-byte;
 //   6. fig_qos_tenants is byte-identical at --threads 1 and 8;
 //   7. CompletionStats quantile edge cases: empty and single-sample
 //      histograms, global and per-tenant;
@@ -321,67 +320,27 @@ ArbitrationConfig two_tenant_arb(ArbitrationPolicy policy) {
   return make_arb(policy, {{8.0, 500.0}, {1.0, 10000.0}});
 }
 
-TEST(Arbitration, OneShardLogIdenticalAtAnyPollCadence) {
-  // The FIFO version of this contract lives in test_host.cc; the
-  // reordering policies add the interesting part — poll() may only
-  // deliver completions whose position no future submission can change.
+TEST(Arbitration, ShardedLogIdenticalAtAnyWorkerCount) {
+  // Four shards add independent shard timelines on top of the
+  // arbitration reorder: the merged log must still be one deterministic
+  // byte stream at any worker count.
   std::vector<Command> stream;
   for (const ArbitrationPolicy policy : kReorderingPolicies) {
     SCOPED_TRACE(arbitration_policy_name(policy));
     std::vector<std::string> logs;
-    for (const int cadence : {0, 1, 7}) {
-      auto device = small_ssd_device(/*seed=*/7);
+    for (const int workers : {1, 2, 8}) {
+      auto device = sharded_analytic_device(/*seed=*/29, workers);
       device->set_arbitration(two_tenant_arb(policy));
       if (stream.empty())
-        stream = two_tenant_stream(device->logical_pages(), /*seed=*/41);
+        stream = two_tenant_stream(device->logical_pages(), /*seed=*/43);
+      for (const auto& c : stream) device->submit(c);
       std::vector<Completion> got;
-      std::size_t i = 0;
-      for (const auto& c : stream) {
-        device->submit(c);
-        ++i;
-        if (cadence > 0 && i % cadence == 0)
-          device->poll(&got, cadence == 1 ? 1 : 3);
-        if (i == stream.size() / 2) device->end_of_day();
-      }
       device->drain(&got);
       EXPECT_EQ(got.size(), stream.size());
       logs.push_back(log_of(got));
     }
     EXPECT_EQ(logs[0], logs[1]);
     EXPECT_EQ(logs[0], logs[2]);
-  }
-}
-
-TEST(Arbitration, ShardedLogIdenticalAtAnyPollCadenceAndWorkerCount) {
-  // Four shards add independent shard timelines on top of the
-  // arbitration reorder: the merged log must still be one deterministic
-  // byte stream at any poll cadence and any worker count.
-  std::vector<Command> stream;
-  for (const ArbitrationPolicy policy : kReorderingPolicies) {
-    SCOPED_TRACE(arbitration_policy_name(policy));
-    std::vector<std::string> logs;
-    struct Run {
-      int workers;
-      int cadence;
-    };
-    for (const Run run : {Run{1, 0}, Run{8, 0}, Run{2, 1}, Run{2, 7}}) {
-      auto device = sharded_analytic_device(/*seed=*/29, run.workers);
-      device->set_arbitration(two_tenant_arb(policy));
-      if (stream.empty())
-        stream = two_tenant_stream(device->logical_pages(), /*seed=*/43);
-      std::vector<Completion> got;
-      std::size_t i = 0;
-      for (const auto& c : stream) {
-        device->submit(c);
-        ++i;
-        if (run.cadence > 0 && i % run.cadence == 0)
-          device->poll(&got, run.cadence == 1 ? 1 : 3);
-      }
-      device->drain(&got);
-      EXPECT_EQ(got.size(), stream.size());
-      logs.push_back(log_of(got));
-    }
-    for (std::size_t i = 1; i < logs.size(); ++i) EXPECT_EQ(logs[0], logs[i]);
   }
 }
 
@@ -407,7 +366,7 @@ TEST(Arbitration, SingleTenantConfigMatchesUntaggedPath) {
     std::size_t i = 0;
     for (const auto& c : stream) {
       device->submit(c);
-      if (++i % 7 == 0) device->poll(&got, 3);
+      if (++i % 7 == 0) device->drain(&got);
     }
     device->drain(&got);
     return log_of(got);

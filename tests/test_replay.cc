@@ -267,9 +267,11 @@ std::string log_of(const std::vector<host::Completion>& records) {
   return log;
 }
 
-/// Replays the sample trace against a fresh device; returns the log.
+/// Replays the sample trace against a fresh device; returns the log and
+/// copies the device's statistics (which cover exactly the replay: warm
+/// fill resets them) into *stats.
 std::string replay_sample(const cfg::DriveSpec& drive, int workers,
-                          ReplayMode mode, ReplaySummary* summary) {
+                          ReplayMode mode, host::CompletionStats* stats) {
   const std::unique_ptr<host::Device> device =
       host::make_device(drive, /*seed=*/5, workers);
   if (drive.is_analytic()) host::warm_fill(*device);
@@ -281,36 +283,39 @@ std::string replay_sample(const cfg::DriveSpec& drive, int workers,
   opts.speedup = 50.0;
   opts.window = 16;  // Many windows over 200 records.
   std::vector<host::Completion> log;
-  *summary = replay_trace(in, *device, opts, nullptr, &log);
+  replay_trace(in, *device, opts, nullptr, &log);
+  *stats = device->stats();
   return log_of(log);
 }
 
 TEST(Replayer, OpenLoopLogDeterministicAcrossWorkerCounts) {
-  ReplaySummary s1, s4;
+  host::CompletionStats s1, s4;
   const std::string log1 =
       replay_sample(tiny_sharded_mc(), 1, ReplayMode::kOpen, &s1);
   const std::string log4 =
       replay_sample(tiny_sharded_mc(), 4, ReplayMode::kOpen, &s4);
   EXPECT_EQ(log1, log4);
-  EXPECT_EQ(s1.commands, 200u);
-  EXPECT_EQ(s1.reads + s1.writes, 200u);
+  EXPECT_EQ(s1.commands(), 200u);
+  EXPECT_EQ(s1.commands(host::CommandKind::kRead) +
+                s1.commands(host::CommandKind::kWrite),
+            200u);
 }
 
 TEST(Replayer, ClosedLoopLogDeterministicAcrossWorkerCounts) {
-  ReplaySummary s1, s4;
+  host::CompletionStats s1, s4;
   const std::string log1 =
       replay_sample(tiny_sharded_mc(), 1, ReplayMode::kClosed, &s1);
   const std::string log4 =
       replay_sample(tiny_sharded_mc(), 4, ReplayMode::kClosed, &s4);
   EXPECT_EQ(log1, log4);
-  EXPECT_EQ(s1.commands, 200u);
+  EXPECT_EQ(s1.commands(), 200u);
 }
 
 TEST(Replayer, OpenAndClosedDifferButRepeatExactly) {
   // Same backend, both disciplines: each repeats itself byte-for-byte
   // (determinism), and they differ from each other (the discipline
   // actually changes the schedule).
-  ReplaySummary s;
+  host::CompletionStats s;
   const std::string open_a =
       replay_sample(tiny_analytic(), 1, ReplayMode::kOpen, &s);
   const std::string open_b =
@@ -322,8 +327,8 @@ TEST(Replayer, OpenAndClosedDifferButRepeatExactly) {
 }
 
 TEST(Replayer, OpenLoopSubmitStampsAreMonotone) {
-  // The poll watermark assumes non-decreasing submit times; a trace with
-  // timestamp jitter is clamped by Device::submit.
+  // Background-window pruning assumes non-decreasing submit times; a
+  // trace with timestamp jitter is clamped by Device::submit.
   const std::unique_ptr<host::Device> device =
       host::make_device(tiny_analytic(), 3);
   host::warm_fill(*device);
@@ -355,13 +360,13 @@ TEST(Replayer, TraceLargerThanWindowReplaysCompletely) {
   opts.mode = ReplayMode::kClosed;
   opts.queue_depth = 16;
   opts.window = 128;  // 15+ windows.
-  ReplaySummary summary =
-      replay_trace(in, *device, opts, nullptr, nullptr);
-  EXPECT_EQ(summary.commands, kRows);
-  EXPECT_EQ(summary.status_counts[0] + summary.status_counts[1] +
-                summary.status_counts[2] + summary.status_counts[3] +
-                summary.status_counts[4] + summary.status_counts[5],
-            kRows);
+  replay_trace(in, *device, opts, nullptr, nullptr);
+  const host::CompletionStats& stats = device->stats();
+  EXPECT_EQ(stats.commands(), kRows);
+  std::uint64_t by_status = 0;
+  for (std::size_t s = 0; s < host::kStatusCount; ++s)
+    by_status += stats.commands(static_cast<host::Status>(s));
+  EXPECT_EQ(by_status, kRows);
 }
 
 // --- ClosedLoopDriver sink and LatencyTracker -------------------------------

@@ -2,8 +2,7 @@
 // The headline contracts, in the order the architecture doc states them
 // (docs/ARCHITECTURE.md "Sharding and merge determinism"):
 //   1. the merged completion log is byte-identical for any worker count;
-//   2. the log is byte-identical across poll cadences (poll withholds
-//      records whose position is not final; drain delivers everything);
+//   2. under FIFO the records are identical at any drain cadence;
 //   3. the per-shard stall ledger sums to the device total;
 //   4. flush is a cross-shard barrier;
 //   5. striping is a pure function of the lpn and covers every chip;
@@ -12,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -98,11 +98,11 @@ TEST(ShardedChips, MergedLogIdenticalForAnyWorkerCount) {
             stream.size());
 }
 
-TEST(ShardedChips, MergedLogIdenticalAtAnyPollCadence) {
+TEST(ShardedChips, MergedLogIdenticalAtAnyDrainCadence) {
   // Same contract as test_host.cc's, made non-trivial by the N
-  // independent timelines: poll() withholds records that a future
-  // submission could still displace in the (complete_time, id) order, so
-  // any cadence of polls ending in one drain observes the same bytes.
+  // independent timelines: under FIFO the service order is id order, so
+  // a sync point cannot move a record — every cadence of drains yields
+  // the same records, compared here in completion_log_order.
   const auto params = flash::FlashModelParams::default_2ynm();
   const nand::Geometry geometry = nand::Geometry::tiny();
   std::vector<Command> stream;
@@ -117,39 +117,15 @@ TEST(ShardedChips, MergedLogIdenticalAtAnyPollCadence) {
     for (const auto& c : stream) {
       device.submit(c);
       ++i;
-      if (cadence > 0 && i % cadence == 0)
-        device.poll(&got, cadence == 1 ? 1 : 3);
+      if (cadence > 0 && i % cadence == 0) device.drain(&got);
       if (i == stream.size() / 2) device.end_of_day();
     }
     device.drain(&got);
+    std::sort(got.begin(), got.end(), completion_log_order);
     logs.push_back(log_of(got));
   }
   EXPECT_EQ(logs[0], logs[1]);
   EXPECT_EQ(logs[0], logs[2]);
-}
-
-TEST(ShardedChips, PollWithholdsOnlyUnstableRecords) {
-  // Delivered poll order must already be final: collect everything a
-  // dense poll cadence delivers and check it is a prefix-consistent
-  // (complete_time, id)-sorted sequence at every step.
-  const auto params = flash::FlashModelParams::default_2ynm();
-  Device device(mc_shards(nand::Geometry::tiny(), params, 3, /*shards=*/2),
-                /*workers=*/1);
-  const auto stream = mixed_stream(device.logical_pages(), 1, 5);
-  std::vector<Completion> got;
-  for (const auto& c : stream) {
-    device.submit(c);
-    device.poll(&got, 4);
-  }
-  device.drain(&got);
-  ASSERT_EQ(got.size(), stream.size());
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    const bool ordered =
-        got[i - 1].complete_time_s < got[i].complete_time_s ||
-        (got[i - 1].complete_time_s == got[i].complete_time_s &&
-         got[i - 1].id < got[i].id);
-    ASSERT_TRUE(ordered) << "log inversion at record " << i;
-  }
 }
 
 TEST(ShardedChips, PerShardStallLedgerSumsToDeviceTotal) {

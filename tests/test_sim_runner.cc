@@ -1,4 +1,4 @@
-// Tests for the sim layer: the thread-pooled ExperimentRunner, Rng stream
+// Tests for the sim layer: the ThreadPool experiments run on, Rng stream
 // splitting, the experiment registry, and the headline determinism
 // contract — the merged result of an experiment is byte-identical no
 // matter how many threads executed it.
@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "sim/table.h"
 
 namespace rdsim::sim {
@@ -39,43 +39,42 @@ TEST(RngStream, DeterministicAndDecorrelated) {
   EXPECT_NE(x, b0.next());        // Neighboring seeds differ.
 }
 
-TEST(ExperimentRunner, MapReturnsResultsInIndexOrder) {
-  ExperimentRunner runner(4);
-  const auto out = runner.map<std::size_t>(
+TEST(ThreadPool, MapReturnsResultsInIndexOrder) {
+  ThreadPool pool(4);
+  const auto out = pool.map<std::size_t>(
       100, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ExperimentRunner, ExecutesEveryIndexExactlyOnce) {
-  ExperimentRunner runner(8);
+TEST(ThreadPool, ExecutesEveryIndexExactlyOnce) {
+  ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(257);
-  runner.for_each(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.for_each(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ExperimentRunner, ReusableAcrossBatches) {
-  ExperimentRunner runner(3);
+TEST(ThreadPool, ReusableAcrossBatches) {
+  ThreadPool pool(3);
   for (int round = 0; round < 5; ++round) {
-    const auto out =
-        runner.map<int>(40, [round](std::size_t i) {
-          return static_cast<int>(i) + round;
-        });
+    const auto out = pool.map<int>(40, [round](std::size_t i) {
+      return static_cast<int>(i) + round;
+    });
     ASSERT_EQ(out.size(), 40u);
     EXPECT_EQ(out[7], 7 + round);
   }
 }
 
-TEST(ExperimentRunner, PropagatesExceptions) {
-  ExperimentRunner runner(4);
-  EXPECT_THROW(runner.for_each(32,
-                               [](std::size_t i) {
-                                 if (i == 13)
-                                   throw std::runtime_error("boom");
-                               }),
+TEST(ThreadPool, PropagatesExceptions) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.for_each(32,
+                             [](std::size_t i) {
+                               if (i == 13)
+                                 throw std::runtime_error("boom");
+                             }),
                std::runtime_error);
   // The pool must still be usable after a failed batch.
-  const auto out = runner.map<int>(8, [](std::size_t i) {
+  const auto out = pool.map<int>(8, [](std::size_t i) {
     return static_cast<int>(i);
   });
   EXPECT_EQ(out.back(), 7);
