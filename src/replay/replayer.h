@@ -7,18 +7,26 @@
 //   * open-loop  — arrival-timestamp-faithful: each command is submitted
 //     at its trace time (divided by `speedup`), offset to the device
 //     clock at replay start so arrivals never land inside warm-up work.
-//     Whole windows are submitted before draining, lending the sharded
-//     backend's pump full lookahead segments (its merge needs to see the
-//     frontier of every queue). Out-of-order trace times are clamped
-//     monotone by host::Device::submit.
+//     Each window is submitted whole, then drained, so memory stays
+//     O(window). Out-of-order trace times are clamped monotone by
+//     host::Device::submit.
 //   * closed-loop — QD-bounded via ClosedLoopDriver: trace timestamps
 //     are ordering only; a slot frees when the earliest in-flight
 //     completion lands.
 //
+// The reader runs on its own thread, one per replay_trace call, parsing
+// blocks of whole windows (at least 4096 records, at most two waiting)
+// ahead of the calling thread, which remaps, submits, drains and absorbs
+// window by window exactly as if it parsed itself. A parse error reaches
+// the caller once every whole window before the bad line has been
+// replayed; every exit path joins the thread.
+//
 // Both disciplines feed every drained completion to the same
-// LatencyTracker and per-status accounting, and both are deterministic:
-// the completion log is a pure function of (trace, device, options),
-// byte-identical at any worker count.
+// LatencyTracker, and merge each batch (already in completion_log_order,
+// or sorted first when closed-loop) into the log: only the log's tail
+// that the batch overlaps is merged, never the whole log sorted. Both are
+// deterministic: the completion log is a pure function of (trace,
+// device, options), byte-identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +55,13 @@ struct ReplayOptions {
 
 /// Replays the trace in `in` against `device`. Completions are observed
 /// by *tracker (its origin is set to the device clock at replay start)
-/// and, when `log` is non-null, appended to it in completion_log_order.
-/// The device is fully drained on return; its stats() aggregate the
-/// replay together with anything it completed since its last
-/// reset_stats().
+/// and, when `log` is non-null, added to it; the whole vector, records
+/// it held before the call included, ends in completion_log_order. The
+/// device is fully drained on return; its stats() aggregate the replay
+/// together with anything it completed since its last reset_stats().
+/// `in` is read on a reader thread that has finished with it on return.
+/// A malformed line throws std::runtime_error ("line N: ...") after every
+/// whole window before it has been replayed.
 void replay_trace(std::istream& in, host::Device& device,
                   const ReplayOptions& options, LatencyTracker* tracker,
                   std::vector<host::Completion>* log = nullptr);

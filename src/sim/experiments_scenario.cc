@@ -207,11 +207,24 @@ Table run_scenario(ExperimentContext& ctx) {
   const auto us = [](double seconds) { return seconds * 1e6; };
   using host::CommandKind;
   Table table;
+  // A replay runs no day loop (0 days), and only a closed-loop replay has
+  // a queue depth: [trace]'s, not [scenario]'s (0 when open-loop).
+  const bool closed_replay =
+      spec.trace.enabled() && spec.trace.mode == replay::ReplayMode::kClosed;
+  const int days = spec.trace.enabled() ? 0 : spec.days;
+  const std::uint32_t queue_depth =
+      closed_replay          ? spec.trace.queue_depth
+      : spec.trace.enabled() ? 0
+                             : spec.queue_depth;
   const std::string source =
       spec.trace.enabled()
           ? "trace " + spec.trace.path + " (" +
-                std::string(name(spec.trace.mode)) + "-loop, " +
-                std::string(name(spec.trace.remap)) + " remap)"
+                std::string(name(spec.trace.mode)) + "-loop" +
+                (closed_replay
+                     ? " at queue depth " + std::to_string(queue_depth)
+                     : std::string()) +
+                ", " + std::string(name(spec.trace.remap)) +
+                " remap; a replay has no day loop)"
           : "workload " + spec.workload.profile.name + ", " +
                 std::to_string(spec.days) + " day(s), queue depth " +
                 std::to_string(spec.queue_depth);
@@ -224,7 +237,7 @@ Table run_scenario(ExperimentContext& ctx) {
   table.row(strf(
       "%s,%u,%d,%u,%llu,%llu,%llu,%llu,%s",
       cfg::backend_name(spec.drive.backend),
-      sharded ? spec.drive.shards : 1, spec.days, spec.queue_depth,
+      sharded ? spec.drive.shards : 1, days, queue_depth,
       static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
       static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
       static_cast<unsigned long long>(stats.commands(CommandKind::kTrim)),

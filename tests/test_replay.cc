@@ -9,11 +9,18 @@
 //      contiguous and inside the simulated capacity;
 //   5. open- and closed-loop replay produce deterministic completion
 //      logs — byte-identical across runs and worker counts;
-//   6. the ClosedLoopDriver completion sink sees every record exactly
+//   6. the completion log equals a sequential reference replayer's
+//      (caller-thread parse, append, one final std::sort) on sharded
+//      drives whose drained batches straddle, at any window and with a
+//      caller-supplied unsorted prefix; a parse error leaves the device
+//      exactly where the sequential reader left it; an exception on the
+//      calling thread stops the parse-ahead thread;
+//   7. the ClosedLoopDriver completion sink sees every record exactly
 //      once, the driver refuses to start on a device with commands still
 //      outstanding, and the LatencyTracker windows by simulated time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -367,6 +374,221 @@ TEST(Replayer, TraceLargerThanWindowReplaysCompletely) {
   for (std::size_t s = 0; s < host::kStatusCount; ++s)
     by_status += stats.commands(static_cast<host::Status>(s));
   EXPECT_EQ(by_status, kRows);
+}
+
+// --- Ordered log, parse-ahead and parse errors ------------------------------
+
+cfg::DriveSpec tiny_sharded_analytic() {
+  cfg::DriveSpec drive = tiny_analytic();
+  drive.backend = cfg::Backend::kShardedAnalytic;
+  drive.shards = 4;
+  return drive;
+}
+
+host::Command command_of(const IoRequest& r, std::uint64_t seq,
+                         std::uint32_t queues) {
+  host::Command c;
+  c.kind = r.is_write ? host::CommandKind::kWrite : host::CommandKind::kRead;
+  c.lpn = r.lpn;
+  c.pages = r.pages;
+  c.queue = static_cast<std::uint16_t>(seq % queues);
+  c.submit_time_s = r.time_s;
+  return c;
+}
+
+/// The reference replayer: the calling thread reads each window with
+/// read_chunk, submits and drains it (open loop) or runs it (closed
+/// loop), appends every record as it arrives, and sorts the whole log
+/// once at the end. *unsorted receives the log before that sort. A parse
+/// error propagates from read_chunk before its window is submitted.
+void sequential_replay(std::istream& in, host::Device& device,
+                       const ReplayOptions& o,
+                       std::vector<host::Completion>* log,
+                       std::vector<host::Completion>* unsorted = nullptr) {
+  StreamingTraceReader reader(in, o.format, o.page_bytes);
+  const LbaRemapper remapper(o.remap, device.logical_pages());
+  const double origin_s = device.now_s();
+  const std::uint32_t queues = std::max(1u, device.queue_count());
+  std::vector<IoRequest> chunk;
+  std::uint64_t seq = 0;
+  host::ClosedLoopDriver driver(device, static_cast<int>(o.queue_depth));
+  driver.set_completion_sink(log);
+  std::vector<host::Command> commands;
+  while (reader.read_chunk(o.window, &chunk) > 0) {
+    commands.clear();
+    for (IoRequest& r : chunk) {
+      remapper.apply(&r);
+      commands.push_back(command_of(r, seq++, queues));
+    }
+    if (o.mode == ReplayMode::kClosed) {
+      driver.run(commands);
+      continue;
+    }
+    for (host::Command& c : commands) {
+      c.submit_time_s = origin_s + std::max(0.0, c.submit_time_s) / o.speedup;
+      device.submit(c);
+    }
+    device.drain(log);
+  }
+  if (unsorted != nullptr) *unsorted = *log;
+  std::sort(log->begin(), log->end(), host::completion_log_order);
+}
+
+/// Records a caller left in the log before replaying: out of order, with
+/// ids no device assigns, completing before, among and after the replay's.
+std::vector<host::Completion> unsorted_prefix(double origin_s) {
+  std::vector<host::Completion> prefix;
+  for (std::uint64_t k = 0; k < 13; ++k) {
+    host::Completion c;
+    c.id = 1'000'000'000 + k;
+    c.lpn = k;
+    c.complete_time_s = origin_s - 0.5 + static_cast<double>(k * 7 % 13) * 0.2;
+    c.submit_time_s = c.service_start_s = c.complete_time_s - 1e-4;
+    prefix.push_back(c);
+  }
+  return prefix;
+}
+
+TEST(Replayer, LogEqualsSortedSequentialReplayOnStraddlingShardedDrives) {
+  const std::string analytic_trace = synthetic_csv(9000);
+  const std::string mc_trace = read_file(sample_path());
+  struct Case {
+    const char* name;
+    cfg::DriveSpec drive;
+    const std::string* trace;
+  };
+  const Case cases[] = {{"sharded_analytic", tiny_sharded_analytic(),
+                         &analytic_trace},
+                        {"sharded_mc", tiny_sharded_mc(), &mc_trace}};
+  for (const Case& k : cases) {
+    // A straddle is a drained batch that completes before the log's tail:
+    // the reference's append order is then out of log order, so a merge
+    // (not a concatenation) is what the replayer must get right.
+    int straddling = 0;
+    for (const ReplayMode mode : {ReplayMode::kOpen, ReplayMode::kClosed}) {
+      for (const std::size_t window : {1u, 7u, 16u, 4096u}) {
+        for (const bool prefilled : {false, true}) {
+          SCOPED_TRACE(std::string(k.name) + " " +
+                       std::string(name(mode)) + " window " +
+                       std::to_string(window) +
+                       (prefilled ? " prefilled" : ""));
+          ReplayOptions opts;
+          opts.mode = mode;
+          opts.remap = RemapPolicy::kHash;
+          opts.queue_depth = 8;
+          opts.speedup = 50.0;
+          opts.window = window;
+          const auto run = [&](bool reference,
+                               std::vector<host::Completion>* unsorted) {
+            const std::unique_ptr<host::Device> device =
+                host::make_device(k.drive, /*seed=*/5, /*workers=*/2);
+            if (k.drive.is_analytic()) host::warm_fill(*device);
+            std::vector<host::Completion> log;
+            if (prefilled) log = unsorted_prefix(device->now_s());
+            std::istringstream in(*k.trace);
+            if (reference)
+              sequential_replay(in, *device, opts, &log, unsorted);
+            else
+              replay_trace(in, *device, opts, nullptr, &log);
+            return log;
+          };
+          std::vector<host::Completion> appended;
+          const std::vector<host::Completion> expected = run(true, &appended);
+          const std::vector<host::Completion> actual = run(false, nullptr);
+          ASSERT_EQ(actual.size(), expected.size());
+          EXPECT_EQ(log_of(actual), log_of(expected));
+          if (!prefilled &&
+              !std::is_sorted(appended.begin(), appended.end(),
+                              host::completion_log_order))
+            ++straddling;
+        }
+      }
+    }
+    EXPECT_GT(straddling, 0) << k.name << ": no batch straddled";
+  }
+}
+
+/// `rows` synthetic CSV records (line 1 is the header, record i is on
+/// line i + 2) with line `bad_line` replaced by a malformed row.
+std::string csv_with_bad_line(std::size_t rows, std::size_t bad_line) {
+  std::istringstream in(synthetic_csv(rows));
+  std::string text;
+  std::string line;
+  for (std::size_t n = 1; std::getline(in, line); ++n)
+    text += (n == bad_line ? std::string("0.5,R,junk,1") : line) + '\n';
+  return text;
+}
+
+TEST(Replayer, ParseErrorLeavesEveryWholeWindowBeforeItReplayed) {
+  const std::size_t kRows = 9000;
+  for (const ReplayMode mode : {ReplayMode::kOpen, ReplayMode::kClosed}) {
+    for (const std::size_t window : {1u, 7u, 16u, 4096u}) {
+      // An early line (inside the first 4096-record block) and a late one
+      // (blocks after the first).
+      for (const std::size_t bad_line : {300u, 8500u}) {
+        SCOPED_TRACE(std::string(name(mode)) + " window " +
+                     std::to_string(window) + " bad line " +
+                     std::to_string(bad_line));
+        const std::string text = csv_with_bad_line(kRows, bad_line);
+        ReplayOptions opts;
+        opts.mode = mode;
+        opts.window = window;
+        const auto run = [&](bool reference) {
+          const std::unique_ptr<host::Device> device =
+              host::make_device(tiny_sharded_analytic(), 9, 2);
+          host::warm_fill(*device);
+          std::istringstream in(text);
+          std::vector<host::Completion> log;
+          try {
+            if (reference)
+              sequential_replay(in, *device, opts, &log);
+            else
+              replay_trace(in, *device, opts, nullptr, &log);
+            ADD_FAILURE() << "malformed line accepted";
+          } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "line " + std::to_string(bad_line) + ":"),
+                      std::string::npos)
+                << e.what();
+          }
+          EXPECT_EQ(device->outstanding(), 0u);
+          return device->stats().commands();
+        };
+        // Records on lines 2 .. bad_line - 1; only whole windows replay.
+        const std::size_t before = bad_line - 2;
+        const std::uint64_t commands = run(false);
+        EXPECT_EQ(commands, before / window * window);
+        EXPECT_EQ(commands, run(true));
+      }
+    }
+  }
+}
+
+TEST(Replayer, CallerSideExceptionStopsTheReaderThread) {
+  // A closed-loop replay on a busy device throws from its first window
+  // while the reader thread still has most of a long trace to parse;
+  // replay_trace must stop and join it (a joinable std::thread left
+  // behind would terminate the process) and propagate the error.
+  const std::string text = synthetic_csv(40000);
+  const std::unique_ptr<host::Device> device =
+      host::make_device(tiny_analytic(), 9);
+  host::warm_fill(*device);
+  host::Command read;
+  read.lpn = 3;
+  device->submit(read);
+  ReplayOptions opts;
+  opts.mode = ReplayMode::kClosed;
+  opts.window = 16;
+  std::istringstream in(text);
+  EXPECT_THROW(replay_trace(in, *device, opts, nullptr, nullptr),
+               std::logic_error);
+  EXPECT_EQ(device->outstanding(), 1u);
+  // The device is still usable, and a second replay runs to completion.
+  std::vector<host::Completion> early;
+  EXPECT_EQ(device->drain(&early), 1u);
+  std::istringstream again(text);
+  replay_trace(again, *device, opts, nullptr, nullptr);
+  EXPECT_EQ(device->stats().commands(), 40000u + 1u);
 }
 
 // --- ClosedLoopDriver sink and LatencyTracker -------------------------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/datafile.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "sim/experiment.h"
@@ -156,6 +157,37 @@ TEST(Scenario, RejectsFleetConfigNamingFigFleet) {
     EXPECT_NE(std::string(e.what()).find("--experiment fig_fleet"),
               std::string::npos)
         << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+// A trace replay runs no day loop, and a closed-loop replay's queue depth
+// is [trace]'s; the summary row must report those, not [scenario]'s
+// `days` and `queue_depth`.
+TEST(Scenario, TraceReplaySummaryReportsTheReplaysOwnDaysAndDepth) {
+  const std::string trace = find_test_data("msr_cambridge_sample.csv");
+  ASSERT_FALSE(trace.empty());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rdsim_scenario_trace.conf")
+          .string();
+  for (const char* mode : {"closed", "open"}) {
+    SCOPED_TRACE(mode);
+    std::ofstream(path) << "[drive]\nbackend = analytic\n"
+                           "[scenario]\ndays = 3\nqueue_depth = 4\n"
+                           "[trace]\npath = " << trace << "\nmode = " << mode
+                        << "\nqueue_depth = 8\n";
+    ExperimentConfig config = tiny_config(1);
+    config.scenario_config = path;
+    const Table table = run_experiment("scenario", config);
+    const std::vector<std::string>& rows = table.sections().front().rows;
+    ASSERT_GE(rows.size(), 2u);
+    ASSERT_EQ(rows[0].rfind("backend,shards,days,queue_depth,", 0), 0u);
+    // backend,shards,days,queue_depth: a one-shard analytic drive.
+    EXPECT_EQ(rows[1].rfind(std::string("analytic,1,0,") +
+                                (mode[0] == 'c' ? "8," : "0,"),
+                            0),
+              0u)
+        << rows[1];
   }
   std::filesystem::remove(path);
 }
