@@ -5,53 +5,28 @@
 namespace rdsim::ecc {
 namespace {
 
-/// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][i]
-/// is the CRC of byte i followed by k zero bytes, so eight table lookups
-/// advance the state by eight bytes at once.
-using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-Tables make_tables() {
-  Tables t{};
+std::array<std::uint32_t, 256> make_table() {
+  std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
+    table[i] = c;
   }
-  for (std::size_t k = 1; k < 8; ++k)
-    for (std::uint32_t i = 0; i < 256; ++i)
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
-  return t;
+  return table;
 }
 
-const Tables& tables() {
-  static const Tables t = make_tables();
+const std::array<std::uint32_t, 256>& table() {
+  static const auto t = make_table();
   return t;
-}
-
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 void Crc32::update(std::span<const std::uint8_t> data) {
-  const Tables& t = tables();
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  std::uint32_t c = state_;
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = load_le32(p) ^ c;
-    const std::uint32_t hi = load_le32(p + 4);
-    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
-        t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
-        t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
-  state_ = c;
+  const auto& t = table();
+  for (std::uint8_t byte : data)
+    state_ = t[(state_ ^ byte) & 0xFFU] ^ (state_ >> 8);
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {

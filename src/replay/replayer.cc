@@ -1,6 +1,7 @@
 #include "replay/replayer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -91,6 +92,7 @@ class ParseAhead {
       std::exception_ptr error;
       try {
         while (block.size() < block_records_) {
+          if (stop_.load(std::memory_order_relaxed)) return;
           if (!reader.next(&r)) {
             done = true;
             break;
@@ -132,34 +134,20 @@ class ParseAhead {
   }();
   std::exception_ptr error_;
   bool finished_ = false;  ///< The reader has queued its last block.
-  bool stop_ = false;      ///< The caller is gone; the reader must exit.
+  /// The caller is gone; the reader must exit. Set under mutex_ (so the
+  /// space_ wait cannot miss it) and also polled per record, so the
+  /// destructor does not wait for a whole block to be parsed.
+  std::atomic<bool> stop_ = false;
 
   std::thread thread_;  ///< Last: starts once everything above exists.
 };
 
-/// Merges `batch`, already in completion_log_order, into *log, which is
-/// kept in that order. Only the tail of *log that the batch overlaps is
-/// merged; on a one-shard drive that tail is empty.
-void merge_into(std::vector<host::Completion>* log,
-                const std::vector<host::Completion>& batch) {
-  if (batch.empty()) return;
-  const auto first = std::upper_bound(log->begin(), log->end(),
-                                      batch.front(),
-                                      host::completion_log_order) -
-                     log->begin();
-  const auto old_end = static_cast<std::ptrdiff_t>(log->size());
-  log->insert(log->end(), batch.begin(), batch.end());
-  if (first != old_end)
-    std::inplace_merge(log->begin() + first, log->begin() + old_end,
-                       log->end(), host::completion_log_order);
-}
-
-/// Folds one batch, in completion_log_order, into the tracker/log.
+/// Folds one drained batch into the tracker/log.
 void absorb(const std::vector<host::Completion>& batch,
             LatencyTracker* tracker, std::vector<host::Completion>* log) {
   if (tracker != nullptr)
     for (const host::Completion& c : batch) tracker->observe(c);
-  if (log != nullptr) merge_into(log, batch);
+  if (log != nullptr) log->insert(log->end(), batch.begin(), batch.end());
 }
 
 host::Command to_command(const workload::IoRequest& r, std::uint64_t seq,
@@ -182,10 +170,6 @@ void replay_trace(std::istream& in, host::Device& device,
   const LbaRemapper remapper(options.remap, device.logical_pages());
   const double origin_s = device.now_s();
   if (tracker != nullptr) tracker->set_origin(origin_s);
-  // Records the caller passed in join the ordered log once, up front.
-  if (log != nullptr &&
-      !std::is_sorted(log->begin(), log->end(), host::completion_log_order))
-    std::sort(log->begin(), log->end(), host::completion_log_order);
 
   const std::size_t window = std::max<std::size_t>(1, options.window);
   const double speedup = std::max(1e-6, options.speedup);
@@ -207,8 +191,7 @@ void replay_trace(std::istream& in, host::Device& device,
         c.submit_time_s = origin_s + std::max(0.0, r.time_s) / speedup;
         device.submit(c);
       }
-      // Drain once per window: memory stays O(window), and each drained
-      // batch arrives in completion_log_order.
+      // Drain once per window: memory stays O(window).
       drained.clear();
       device.drain(&drained);
       absorb(drained, tracker, log);
@@ -218,7 +201,8 @@ void replay_trace(std::istream& in, host::Device& device,
     // timestamps only fix the submission order.
     host::ClosedLoopDriver driver(device, static_cast<int>(
                                               options.queue_depth));
-    driver.set_completion_sink(&drained);
+    std::vector<host::Completion> sunk;
+    driver.set_completion_sink(&sunk);
     std::vector<host::Command> commands;
     while (reader.next_window(&chunk)) {
       commands.clear();
@@ -226,20 +210,23 @@ void replay_trace(std::istream& in, host::Device& device,
         remapper.apply(&r);
         commands.push_back(to_command(r, seq++, queues));
       }
-      drained.clear();
       driver.run(commands);
-      // The sink holds the first `depth` records in log order, then the
-      // rest in submission order.
-      std::sort(drained.begin(), drained.end(), host::completion_log_order);
-      absorb(drained, tracker, log);
+      absorb(sunk, tracker, log);
+      sunk.clear();
     }
   }
 
-  // Every window was drained already; this sweep covers an empty trace,
-  // so the device returns fully drained whatever it held at the call.
+  // Final sweep (open-loop always needs it; closed-loop run() already
+  // drains, so this is a cheap no-op there) and a globally ordered log:
+  // batches drained early can straddle later-submitted commands that
+  // completed earlier on an idle shard. On a one-shard open-loop drive
+  // the log is already in order, so the check is all it costs.
   drained.clear();
   device.drain(&drained);
   absorb(drained, tracker, log);
+  if (log != nullptr &&
+      !std::is_sorted(log->begin(), log->end(), host::completion_log_order))
+    std::sort(log->begin(), log->end(), host::completion_log_order);
 }
 
 }  // namespace rdsim::replay

@@ -19,14 +19,15 @@
 // ahead of the calling thread, which remaps, submits, drains and absorbs
 // window by window exactly as if it parsed itself. A parse error reaches
 // the caller once every whole window before the bad line has been
-// replayed; every exit path joins the thread.
+// replayed; every exit path stops and joins the thread, which checks for
+// the stop between records, not only between blocks.
 //
 // Both disciplines feed every drained completion to the same
-// LatencyTracker, and merge each batch (already in completion_log_order,
-// or sorted first when closed-loop) into the log: only the log's tail
-// that the batch overlaps is merged, never the whole log sorted. Both are
-// deterministic: the completion log is a pure function of (trace,
-// device, options), byte-identical at any worker count.
+// LatencyTracker and append it to the log, which is sorted into
+// completion_log_order at the end only if it is not already in that
+// order (a one-shard open-loop log is). Both are deterministic: the
+// completion log is a pure function of (trace, device, options),
+// byte-identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,11 @@ struct ReplayOptions {
   std::uint32_t queue_depth = 16;  ///< Closed-loop QD (ignored open-loop).
   double speedup = 1.0;            ///< Open-loop time compression (>= 1e-6).
   std::uint32_t page_bytes = 8192; ///< MSR byte->page conversion.
-  std::size_t window = 4096;       ///< Streaming chunk size (memory bound).
+  /// Records per submit-and-drain window. It bounds the replay's memory
+  /// apart from the log: the reader's blocks hold max(window, 4096)
+  /// records rounded up to whole windows, and up to four are alive at
+  /// once (two waiting, one being parsed, one being replayed).
+  std::size_t window = 4096;
 };
 
 /// Replays the trace in `in` against `device`. Completions are observed

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <random>
 #include <vector>
 
 namespace rdsim::ecc {
@@ -42,44 +41,6 @@ TEST(Crc32, SensitiveToSingleBit) {
 
 TEST(Crc32, SensitiveToOrder) {
   EXPECT_NE(crc32(bytes_of("ab")), crc32(bytes_of("ba")));
-}
-
-/// The reference: the classic one-table, one-byte-per-step CRC-32.
-std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t table[256];
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  std::uint32_t c = 0xFFFFFFFFU;
-  for (std::uint8_t byte : data) c = table[(c ^ byte) & 0xFFU] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFU;
-}
-
-TEST(Crc32, SlicedMatchesBytewiseAtRandomLengthsAndOffsets) {
-  // Random start offsets put the eight-byte steps at every alignment;
-  // random lengths cover every tail length (0..7 bytes past the last
-  // eight-byte step), including lengths shorter than one step.
-  std::mt19937_64 rng(2024);
-  std::vector<std::uint8_t> buffer(4096 + 16);
-  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
-  for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t offset = rng() % 16;
-    const std::size_t length =
-        trial < 64 ? static_cast<std::size_t>(trial) : rng() % 4097;
-    const std::span<const std::uint8_t> data(buffer.data() + offset, length);
-    ASSERT_EQ(crc32(data), bytewise_crc32(data))
-        << "offset " << offset << ", length " << length;
-    // Split anywhere, the incremental interface agrees too.
-    const std::size_t cut = length == 0 ? 0 : rng() % (length + 1);
-    Crc32 inc;
-    inc.update(data.subspan(0, cut));
-    inc.update(data.subspan(cut));
-    ASSERT_EQ(inc.value(), bytewise_crc32(data))
-        << "offset " << offset << ", length " << length << ", cut " << cut;
-  }
 }
 
 }  // namespace

@@ -462,8 +462,9 @@ TEST(Replayer, LogEqualsSortedSequentialReplayOnStraddlingShardedDrives) {
                         {"sharded_mc", tiny_sharded_mc(), &mc_trace}};
   for (const Case& k : cases) {
     // A straddle is a drained batch that completes before the log's tail:
-    // the reference's append order is then out of log order, so a merge
-    // (not a concatenation) is what the replayer must get right.
+    // the reference's append order is then out of log order, so the
+    // replayer's final sort (not its already-in-order shortcut) is what
+    // these cases exercise.
     int straddling = 0;
     for (const ReplayMode mode : {ReplayMode::kOpen, ReplayMode::kClosed}) {
       for (const std::size_t window : {1u, 7u, 16u, 4096u}) {
