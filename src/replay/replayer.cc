@@ -1,12 +1,6 @@
 #include "replay/replayer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <span>
-#include <thread>
 
 #include "host/device.h"
 #include "host/driver.h"
@@ -16,131 +10,6 @@
 
 namespace rdsim::replay {
 namespace {
-
-/// A block handed over by the reader thread holds at least this many
-/// records, so a 1- or 16-record window does not pay a handoff each.
-constexpr std::size_t kMinBlockRecords = 4096;
-/// Parsed blocks that may wait for the calling thread.
-constexpr std::size_t kBlocksAhead = 2;
-
-/// Runs a StreamingTraceReader on its own thread, parsing up to
-/// kBlocksAhead blocks ahead of the caller, and hands the records back
-/// window by window. Every block is a whole number of windows, so the
-/// windows are exactly those read_chunk(window) would return. The stream
-/// is touched only by the reader thread, and the destructor stops and
-/// joins it, so no exit path leaves it running.
-class ParseAhead {
- public:
-  ParseAhead(std::istream& in, const ReplayOptions& options,
-             std::size_t window)
-      : window_(window),
-        block_records_(window >= kMinBlockRecords
-                           ? window
-                           : window * ((kMinBlockRecords + window - 1) /
-                                       window)),
-        thread_([this, &in, format = options.format,
-                 page_bytes = options.page_bytes] {
-          run(in, format, page_bytes);
-        }) {}
-
-  ParseAhead(const ParseAhead&) = delete;
-  ParseAhead& operator=(const ParseAhead&) = delete;
-
-  ~ParseAhead() {
-    {
-      const std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    space_.notify_one();
-    thread_.join();
-  }
-
-  /// Points *out at the next window of records (at most `window`; the
-  /// caller may modify them until the next call). Returns false at end of
-  /// trace. A parse error is rethrown here once every whole window before
-  /// the bad line has been returned; the records of the window it
-  /// interrupted are dropped, as read_chunk's throw dropped them.
-  bool next_window(std::span<workload::IoRequest>* out) {
-    if (at_ == block_.size()) {
-      {
-        std::unique_lock lock(mutex_);
-        ready_cv_.wait(lock, [&] { return !ready_.empty() || finished_; });
-        if (ready_.empty()) {
-          if (error_) std::rethrow_exception(error_);
-          return false;
-        }
-        block_ = std::move(ready_.front());
-        ready_.erase(ready_.begin());
-      }
-      space_.notify_one();
-      at_ = 0;
-    }
-    const std::size_t n = std::min(window_, block_.size() - at_);
-    *out = std::span<workload::IoRequest>(block_).subspan(at_, n);
-    at_ += n;
-    return true;
-  }
-
- private:
-  /// The thread's body. Only the parse can throw (ready_ never grows past
-  /// its reserved capacity), and its error is forwarded to the caller.
-  void run(std::istream& in, TraceFormat format, std::uint32_t page_bytes) {
-    StreamingTraceReader reader(in, format, page_bytes);
-    workload::IoRequest r;
-    for (bool done = false; !done;) {
-      std::vector<workload::IoRequest> block;
-      std::exception_ptr error;
-      try {
-        while (block.size() < block_records_) {
-          if (stop_.load(std::memory_order_relaxed)) return;
-          if (!reader.next(&r)) {
-            done = true;
-            break;
-          }
-          block.push_back(r);
-        }
-      } catch (...) {
-        error = std::current_exception();
-        done = true;
-        block.resize(block.size() - block.size() % window_);
-      }
-      {
-        std::unique_lock lock(mutex_);
-        space_.wait(lock,
-                    [&] { return ready_.size() < kBlocksAhead || stop_; });
-        if (stop_) return;
-        if (!block.empty()) ready_.push_back(std::move(block));
-        error_ = error;
-        finished_ = done;
-      }
-      ready_cv_.notify_one();
-    }
-  }
-
-  const std::size_t window_;
-  const std::size_t block_records_;  ///< A whole number of windows.
-
-  // Calling thread only.
-  std::vector<workload::IoRequest> block_;
-  std::size_t at_ = 0;  ///< Records of block_ already handed out.
-
-  std::mutex mutex_;  ///< Guards the members up to thread_.
-  std::condition_variable ready_cv_;  ///< A block is ready, or finished_.
-  std::condition_variable space_;     ///< ready_ has room, or stop_.
-  std::vector<std::vector<workload::IoRequest>> ready_ = [] {
-    std::vector<std::vector<workload::IoRequest>> ready;
-    ready.reserve(kBlocksAhead);
-    return ready;
-  }();
-  std::exception_ptr error_;
-  bool finished_ = false;  ///< The reader has queued its last block.
-  /// The caller is gone; the reader must exit. Set under mutex_ (so the
-  /// space_ wait cannot miss it) and also polled per record, so the
-  /// destructor does not wait for a whole block to be parsed.
-  std::atomic<bool> stop_ = false;
-
-  std::thread thread_;  ///< Last: starts once everything above exists.
-};
 
 /// Folds one drained batch into the tracker/log.
 void absorb(const std::vector<host::Completion>& batch,
@@ -167,6 +36,7 @@ host::Command to_command(const workload::IoRequest& r, std::uint64_t seq,
 void replay_trace(std::istream& in, host::Device& device,
                   const ReplayOptions& options, LatencyTracker* tracker,
                   std::vector<host::Completion>* log) {
+  StreamingTraceReader reader(in, options.format, options.page_bytes);
   const LbaRemapper remapper(options.remap, device.logical_pages());
   const double origin_s = device.now_s();
   if (tracker != nullptr) tracker->set_origin(origin_s);
@@ -175,8 +45,7 @@ void replay_trace(std::istream& in, host::Device& device,
   const double speedup = std::max(1e-6, options.speedup);
   const std::uint32_t queues = std::max(1u, device.queue_count());
 
-  ParseAhead reader(in, options, window);
-  std::span<workload::IoRequest> chunk;
+  std::vector<workload::IoRequest> chunk;
   std::vector<host::Completion> drained;
   std::uint64_t seq = 0;
 
@@ -184,14 +53,15 @@ void replay_trace(std::istream& in, host::Device& device,
     // Arrival-faithful: trace time (compressed by speedup, a negative time
     // counting as 0) offset to the device clock at replay start. A trace
     // with out-of-order timestamps is clamped monotone by Device::submit.
-    while (reader.next_window(&chunk)) {
+    while (reader.read_chunk(window, &chunk) > 0) {
       for (workload::IoRequest& r : chunk) {
         remapper.apply(&r);
         host::Command c = to_command(r, seq++, queues);
         c.submit_time_s = origin_s + std::max(0.0, r.time_s) / speedup;
         device.submit(c);
       }
-      // Drain once per window: memory stays O(window).
+      // Drain once per window: the backend pump sees a full lookahead
+      // segment, and memory stays O(window).
       drained.clear();
       device.drain(&drained);
       absorb(drained, tracker, log);
@@ -204,7 +74,7 @@ void replay_trace(std::istream& in, host::Device& device,
     std::vector<host::Completion> sunk;
     driver.set_completion_sink(&sunk);
     std::vector<host::Command> commands;
-    while (reader.next_window(&chunk)) {
+    while (reader.read_chunk(window, &chunk) > 0) {
       commands.clear();
       for (workload::IoRequest& r : chunk) {
         remapper.apply(&r);

@@ -14,13 +14,8 @@
 //     are ordering only; a slot frees when the earliest in-flight
 //     completion lands.
 //
-// The reader runs on its own thread, one per replay_trace call, parsing
-// blocks of whole windows (at least 4096 records, at most two waiting)
-// ahead of the calling thread, which remaps, submits, drains and absorbs
-// window by window exactly as if it parsed itself. A parse error reaches
-// the caller once every whole window before the bad line has been
-// replayed; every exit path stops and joins the thread, which checks for
-// the stop between records, not only between blocks.
+// Parsing stays on the calling thread; docs/ARCHITECTURE.md says why a
+// reader thread parsing ahead is not used.
 //
 // Both disciplines feed every drained completion to the same
 // LatencyTracker and append it to the log, which is sorted into
@@ -51,11 +46,7 @@ struct ReplayOptions {
   std::uint32_t queue_depth = 16;  ///< Closed-loop QD (ignored open-loop).
   double speedup = 1.0;            ///< Open-loop time compression (>= 1e-6).
   std::uint32_t page_bytes = 8192; ///< MSR byte->page conversion.
-  /// Records per submit-and-drain window. It bounds the replay's memory
-  /// apart from the log: the reader's blocks hold max(window, 4096)
-  /// records rounded up to whole windows, and up to four are alive at
-  /// once (two waiting, one being parsed, one being replayed).
-  std::size_t window = 4096;
+  std::size_t window = 4096;       ///< Streaming chunk size (memory bound).
 };
 
 /// Replays the trace in `in` against `device`. Completions are observed
@@ -64,7 +55,6 @@ struct ReplayOptions {
 /// it held before the call included, ends in completion_log_order. The
 /// device is fully drained on return; its stats() aggregate the replay
 /// together with anything it completed since its last reset_stats().
-/// `in` is read on a reader thread that has finished with it on return.
 /// A malformed line throws std::runtime_error ("line N: ...") after every
 /// whole window before it has been replayed.
 void replay_trace(std::istream& in, host::Device& device,

@@ -13,8 +13,7 @@
 //      (caller-thread parse, append, one final std::sort) on sharded
 //      drives whose drained batches straddle, at any window and with a
 //      caller-supplied unsorted prefix; a parse error leaves the device
-//      exactly where the sequential reader left it; an exception on the
-//      calling thread stops the parse-ahead thread;
+//      exactly where the sequential reader left it;
 //   7. the ClosedLoopDriver completion sink sees every record exactly
 //      once, the driver refuses to start on a device with commands still
 //      outstanding, and the LatencyTracker windows by simulated time.
@@ -376,7 +375,7 @@ TEST(Replayer, TraceLargerThanWindowReplaysCompletely) {
   EXPECT_EQ(by_status, kRows);
 }
 
-// --- Ordered log, parse-ahead and parse errors ------------------------------
+// --- Ordered log and parse errors -------------------------------------------
 
 cfg::DriveSpec tiny_sharded_analytic() {
   cfg::DriveSpec drive = tiny_analytic();
@@ -563,33 +562,6 @@ TEST(Replayer, ParseErrorLeavesEveryWholeWindowBeforeItReplayed) {
       }
     }
   }
-}
-
-TEST(Replayer, CallerSideExceptionStopsTheReaderThread) {
-  // A closed-loop replay on a busy device throws from its first window
-  // while the reader thread still has most of a long trace to parse;
-  // replay_trace must stop and join it (a joinable std::thread left
-  // behind would terminate the process) and propagate the error.
-  const std::string text = synthetic_csv(40000);
-  const std::unique_ptr<host::Device> device =
-      host::make_device(tiny_analytic(), 9);
-  host::warm_fill(*device);
-  host::Command read;
-  read.lpn = 3;
-  device->submit(read);
-  ReplayOptions opts;
-  opts.mode = ReplayMode::kClosed;
-  opts.window = 16;
-  std::istringstream in(text);
-  EXPECT_THROW(replay_trace(in, *device, opts, nullptr, nullptr),
-               std::logic_error);
-  EXPECT_EQ(device->outstanding(), 1u);
-  // The device is still usable, and a second replay runs to completion.
-  std::vector<host::Completion> early;
-  EXPECT_EQ(device->drain(&early), 1u);
-  std::istringstream again(text);
-  replay_trace(again, *device, opts, nullptr, nullptr);
-  EXPECT_EQ(device->stats().commands(), 40000u + 1u);
 }
 
 // --- ClosedLoopDriver sink and LatencyTracker -------------------------------
