@@ -12,14 +12,22 @@ namespace {
 
 /// A physics pass over fewer commands than this runs an all-analytic
 /// device's shards on the calling thread. Measured on rdbench's 4-shard
-/// analytic drive at 4 workers (4-CPU Xeon, GCC 12, Release): a pool round
-/// trip added 3-10 us per pump against ~0.5 us of host work per command,
-/// so 4- and 16-command burst windows ran 1.5-2.9x slower per command
-/// through the pool, and 64- to 1024-command windows -9 % to +38 %. But
-/// warm_fill's one-pass 52 K-page fill is faster pooled: rdbench
-/// tenants_qos setup_s, mostly that fill, read 10.2-10.4 ms pooled and
-/// 13.3-13.6 ms with every pass inline (docs/PERF_RECORDS.md).
+/// analytic drive at 4 workers (4-CPU Xeon, GCC 12, Release), driving
+/// submit()/drain() in burst windows: a pool round trip added 3-10 us per
+/// pump against ~0.5 us of host work per command, so 4- and 16-command
+/// pumps ran 1.5-2.9x slower per command through the pool, and 64- to
+/// 1024-command pumps -9 % to +38 %. But warm_fill's one-pass 52 K-page
+/// fill is faster pooled: rdbench tenants_qos setup_s, mostly that fill,
+/// read 10.2-10.4 ms pooled and 13.3-13.6 ms with every pass inline
+/// (docs/PERF_RECORDS.md). Small passes that still reach this rule: a
+/// drain() after a few submits, a short closed-loop batch, and each
+/// window of a deadline-policy run_burst_windows.
 constexpr std::size_t kInlinePumpCommands = 64;
+
+/// run_burst_windows runs the physics of whole windows up to this many
+/// commands (at least one window) ahead of their timing. It bounds the
+/// pass's scratch: the admitted commands, starts_ and each shard's costs.
+constexpr std::size_t kAheadCommands = 4096;
 
 std::vector<std::unique_ptr<Servicer>> one_shard(
     std::unique_ptr<Servicer> servicer) {
@@ -122,11 +130,6 @@ Device::Submitted Device::admit(const Command& command) {
   sub.command.tenant = tenant;
   sub.id = next_id_++;
   sub.epoch = flush_epoch_;
-  if (sub.command.submit_time_s < max_submit_s_) {
-    sub.command.submit_time_s = max_submit_s_;
-    ++clamped_submits_;
-  }
-  max_submit_s_ = sub.command.submit_time_s;
 
   if (command.kind == CommandKind::kFlush) {
     // A flush closes its epoch: it sorts after every co-epoch command
@@ -160,8 +163,19 @@ Device::Submitted Device::admit(const Command& command) {
   return sub;
 }
 
+double Device::stamp(double submit_s) {
+  if (submit_s < max_submit_s_) {
+    submit_s = max_submit_s_;
+    ++clamped_submits_;
+  }
+  max_submit_s_ = submit_s;
+  return submit_s;
+}
+
 std::uint64_t Device::submit(const Command& command) {
-  pending_.push_back(admit(command));
+  Command stamped = command;
+  stamped.submit_time_s = stamp(command.submit_time_s);
+  pending_.push_back(admit(stamped));
   ++submitted_;
   return pending_.back().id;
 }
@@ -238,10 +252,12 @@ void Device::service_physics(std::size_t n, const CommandAt& command_at) {
   }
   // Only landings are written and only landings are read (service_timing),
   // so nothing needs clearing between passes.
-  if (costs_.size() < n * shard_n) costs_.resize(n * shard_n);
+  for (Shard& shard : shards_)
+    if (shard.costs.size() < n) shard.costs.resize(n);
 
   const auto serve_shard = [&](std::size_t s) {
     Servicer& servicer = *shards_[s].servicer;
+    std::vector<ServiceCost>& costs = shards_[s].costs;
     const auto index = static_cast<std::uint32_t>(s);
     for (std::size_t k = 0; k < n; ++k) {
       const Command& cmd = command_at(k);
@@ -249,7 +265,7 @@ void Device::service_physics(std::size_t n, const CommandAt& command_at) {
       const Start& start = starts_[k];
       const std::uint32_t k0 = landing_offset(index, start.shard, shard_n);
       if (!lands(cmd, k0)) continue;
-      ServiceCost& cost = costs_[k * shard_n + s];
+      ServiceCost& cost = costs[k];
       cost = ServiceCost{};
       if (cmd.pages == 0) continue;
       // This shard's pages of the range are global offsets k0, k0 +
@@ -307,8 +323,8 @@ Completion Device::service_timing(const Submitted& sub, std::size_t k) {
   for (std::uint32_t s = 0; s < shard_n; ++s) {
     if (!lands(sub.command, landing_offset(s, first_shard, shard_n)))
       continue;
-    const ServiceCost& cost = costs_[k * shard_n + s];
     Shard& shard = shards_[s];
+    const ServiceCost& cost = shard.costs[k];
     const FlashTimeline::Slot slot =
         shard.timeline.schedule(sub.command.submit_time_s, cost);
     const double stall_s = cost.stall_s + slot.bg_overlap_s;
@@ -371,7 +387,7 @@ double Device::run_closed_loop(const std::vector<Command>& commands,
     release_s = in_flight_.back().complete_time_s;
     in_flight_.pop_back();
     Command c = commands[k];
-    c.submit_time_s = release_s;
+    c.submit_time_s = stamp(release_s);
     in_flight_.push_back(service_timing(admit(c), k));
     ++submitted_;
     if (sink != nullptr) sink->push_back(in_flight_.back());
@@ -381,6 +397,74 @@ double Device::run_closed_loop(const std::vector<Command>& commands,
     release_s = std::max(release_s, rec.complete_time_s);
   delivered_ += n;
   return release_s;
+}
+
+double Device::run_burst_windows(const std::vector<Command>& commands,
+                                 std::size_t window, double clock_s,
+                                 std::vector<Completion>* sink) {
+  // A record of anything already in flight would reach the sink and
+  // move the clock.
+  if (outstanding() != 0)
+    throw std::logic_error(
+        "host::Device::run_burst_windows: commands are still outstanding");
+  const std::size_t n = commands.size();
+  window = std::max<std::size_t>(1, window);
+  // Under fifo, round_robin and weighted no key reads the stamp, so the
+  // service order of many windows is fixed before any of them is
+  // stamped, and their physics runs in one pass ahead of their timing. A
+  // deadline key is stamp + deadline, and rounding can tie two such keys
+  // at one stamp and not at another, so deadline looks one window ahead.
+  const bool ahead = arb_.policy != ArbitrationPolicy::kDeadline;
+  const std::size_t chunk =
+      ahead ? std::max<std::size_t>(1, kAheadCommands / window) * window
+            : window;
+  std::vector<Submitted> admitted;
+  admitted.reserve(std::min(n, chunk));
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    const std::size_t end = std::min(n, begin + chunk);
+    // Admit in command order, then sort each window into the pump's
+    // service order (FIFO's is id order, which arbitration_order is not).
+    admitted.clear();
+    for (std::size_t w = begin; w < end; w += window) {
+      const auto first = static_cast<std::ptrdiff_t>(admitted.size());
+      for (std::size_t i = w; i < std::min(end, w + window); ++i) {
+        Command c = commands[i];
+        if (!ahead) c.submit_time_s = stamp(clock_s);
+        admitted.push_back(admit(c));
+      }
+      if (arb_.policy != ArbitrationPolicy::kFifo)
+        std::sort(admitted.begin() + first, admitted.end(),
+                  arbitration_order);
+    }
+    service_physics(admitted.size(), [&](std::size_t k) -> const Command& {
+      return admitted[k].command;
+    });
+
+    // Timing, window by window: each window is stamped at the clock its
+    // predecessor's last completion set, exactly as submit() would stamp
+    // it, and its records are delivered in log order.
+    for (std::size_t w = 0; w < admitted.size(); w += window) {
+      held_.clear();
+      for (std::size_t k = w; k < std::min(admitted.size(), w + window);
+           ++k) {
+        Submitted& sub = admitted[k];
+        if (ahead) sub.command.submit_time_s = stamp(clock_s);
+        held_.push_back(service_timing(sub, k));
+      }
+      if (!std::is_sorted(held_.begin(), held_.end(), completion_log_order))
+        std::sort(held_.begin(), held_.end(), completion_log_order);
+      if (sink != nullptr)
+        sink->insert(sink->end(), held_.begin(), held_.end());
+      // Log order puts the window's last completion last. No record
+      // completes before its stamp, and no stamp precedes the clock, so
+      // the clock never runs backwards.
+      clock_s = held_.back().complete_time_s;
+    }
+  }
+  held_.clear();
+  submitted_ += n;
+  delivered_ += n;
+  return clock_s;
 }
 
 Completion Device::service_flush(const Submitted& sub) {

@@ -43,6 +43,10 @@
 // run_closed_loop() runs physics over a whole closed-loop batch up
 // front — its per-shard order is fixed before any stamp is known — and
 // then timing serially as each freed slot yields the next stamp.
+// run_burst_windows() does the same for burst windows: under every
+// policy whose keys never read the stamp it runs physics over up to
+// 4096 commands of whole windows in one pass, then stamps and times the
+// windows one by one, each at its predecessor's last completion.
 //
 // Arbitration. Which pending command is serviced next is decided by the
 // ArbitrationConfig (arbitration.h). Under the default FIFO policy
@@ -64,10 +68,12 @@
 // determinism contract and tests/test_host.cc, tests/test_sharded_device.cc
 // and tests/test_arbitration.cc pin. Two rules make it hold:
 //   * Commands are serviced only at synchronization points. submit()
-//     only queues; drain(), end_of_day(), stats(), reset_stats() and
-//     run_closed_loop() service everything queued, in arbitration order.
-//     Only drain() delivers records: every serviced one, in
-//     completion_log_order.
+//     only queues; drain(), end_of_day(), stats() and reset_stats()
+//     service everything queued, in arbitration order. Only drain()
+//     delivers queued records: every serviced one, in
+//     completion_log_order. run_closed_loop() and run_burst_windows()
+//     start and end quiet: they service and deliver a whole batch of
+//     their own, each window or slot in the order a drain would give it.
 //   * Shards are independent. Shard assignment is a pure function of the
 //     lpn and each shard services its sub-stream in service order against
 //     its own timeline; worker threads only decide where a shard's
@@ -161,6 +167,23 @@ class Device {
   double run_closed_loop(const std::vector<Command>& commands,
                          std::size_t depth, double release_s,
                          std::vector<Completion>* sink);
+
+  /// Burst-window replay of one batch: the commands in windows of
+  /// `window` (0 counts as 1; the last may be short), every command of a
+  /// window stamped with the window's clock, the first window's being
+  /// `clock_s` and each later one's the last completion of the window
+  /// before it (never earlier than the clock before that). The caller's
+  /// stamps are ignored; a clock older than the newest submitted stamp is
+  /// clamped and counted as submit() would. Each window is serviced as one
+  /// co-pending set in arbitration order, exactly as submitting it and
+  /// calling drain() would. Every record is added to the statistics and,
+  /// when `sink` is non-null, appended to it window by window, each
+  /// window in log order. Returns the clock for the next batch. The
+  /// device must be quiet — std::logic_error while any command is
+  /// outstanding — and is quiet again afterwards.
+  double run_burst_windows(const std::vector<Command>& commands,
+                           std::size_t window, double clock_s,
+                           std::vector<Completion>* sink);
 
   /// Runs each shard's nightly maintenance (refresh, reclaim, tuning,
   /// retention aging) after servicing everything queued; the flash busy
@@ -259,6 +282,10 @@ class Device {
     std::unique_ptr<Servicer> servicer;
     FlashTimeline timeline;
     double stall_seconds = 0.0;
+    /// Physics scratch, reused across passes: costs[k] for the k-th
+    /// command of the last pass, written only where it lands. One vector
+    /// per shard, so the pool's workers never write the same cache line.
+    std::vector<ServiceCost> costs;
   };
 
   /// A command's first page, wrapped into the logical space, and its shard.
@@ -278,15 +305,22 @@ class Device {
   /// Services every queued command and merges the records into held_.
   void pump();
 
-  /// submit()'s bookkeeping, shared with run_closed_loop: maps queue and
-  /// tenant into range, assigns the id, flush epoch and arbitration key,
-  /// and clamps the submit stamp. The command is not queued.
+  /// Clamps a submit stamp up to the newest one submitted (counting the
+  /// clamp, see clamped_submits()) and makes it the newest.
+  double stamp(double submit_s);
+
+  /// submit()'s bookkeeping, shared with the batch runners: maps queue
+  /// and tenant into range and assigns the id, flush epoch and
+  /// arbitration key. The command is not queued. Only a deadline key
+  /// reads the submit stamp, so under deadline the command must come
+  /// stamped (stamp()); the others may be stamped later.
   Submitted admit(const Command& command);
 
   /// Physics half: de-stripes commands [0, n) — command_at(k), in service
   /// order — and services every landing on its shard's servicer into
-  /// costs_: one pool task per shard, or shard by shard on the calling
-  /// thread when every shard is analytic and n < kInlinePumpCommands.
+  /// that shard's costs: one pool task per shard, or shard by shard on the
+  /// calling thread when every shard is analytic and n <
+  /// kInlinePumpCommands.
   /// Flushes carry no physics and are skipped.
   template <typename CommandAt>
   void service_physics(std::size_t n, const CommandAt& command_at);
@@ -321,11 +355,10 @@ class Device {
   /// (service_physics()).
   bool analytic_ = true;
   ThreadPool pool_;
-  /// Serviced, undelivered completions in log order (completion_log_order).
+  /// Serviced, undelivered completions in log order (completion_log_order);
+  /// run_burst_windows keeps each window's records here until delivery.
   std::vector<Completion> held_;
-  /// Physics scratch, reused across passes: costs_[cmd * shards + shard]
-  /// (written only where the command lands) and starts_[cmd].
-  std::vector<ServiceCost> costs_;
+  /// Physics scratch, reused across passes: starts_[cmd].
   std::vector<Start> starts_;
   /// run_closed_loop scratch: the in-flight records, a min-heap in
   /// completion_log_order.

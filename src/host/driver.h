@@ -2,9 +2,10 @@
 //
 // Host-side driving patterns shared by the QoS experiments, the
 // benchmark, the examples, and the tests: warm-up hygiene (warm_fill),
-// fixed-depth closed-loop replay (ClosedLoopDriver, a handle that carries
-// the clock across batches; the slot accounting and re-stamping live in
-// Device::run_closed_loop) and burst-window replay (BurstWindowDriver).
+// fixed-depth closed-loop replay and burst-window replay (ClosedLoopDriver
+// and BurstWindowDriver, handles that carry the clock across batches; the
+// slot or window accounting and re-stamping live in
+// Device::run_closed_loop and Device::run_burst_windows).
 #pragma once
 
 #include <algorithm>
@@ -73,18 +74,21 @@ class ClosedLoopDriver {
   std::vector<Completion>* sink_ = nullptr;
 };
 
-/// Burst-window replay: submits commands in fixed-size windows, every
-/// command in a window re-stamped with the same submit time (the
-/// window's opening clock), drains the device, and advances the clock to
-/// the window's last completion. Where ClosedLoopDriver trickles one
-/// command per freed slot (the pending set a policy sees is nearly
-/// empty), a whole window is co-pending here — which is what gives a
-/// reordering arbitration policy real choices to make, so the
+/// Burst-window replay: replays commands in fixed-size windows, every
+/// command in a window re-stamped with the same submit time (the window's
+/// opening clock), each window serviced as one co-pending set, and the
+/// clock advanced to the window's last completion. Where ClosedLoopDriver
+/// trickles one command per freed slot (the pending set a policy sees is
+/// nearly empty), a whole window is co-pending here — which is what gives
+/// a reordering arbitration policy real choices to make, so the
 /// multi-tenant QoS experiments drive with this; the window size plays
 /// the queue-depth role. Deterministic for the same reason as
 /// ClosedLoopDriver: the schedule is a pure function of the command
-/// stream and the window size (the drain per window is the sync point
-/// that services each window as one co-pending set under every policy).
+/// stream and the window size. The replay itself is
+/// Device::run_burst_windows, which knows many windows' service order
+/// before their stamps (except under deadline) and so runs their shard
+/// physics in parallel ahead of their timing; run() must start on a
+/// quiet device (nothing outstanding).
 class BurstWindowDriver {
  public:
   BurstWindowDriver(Device& device, int window)
@@ -99,31 +103,13 @@ class BurstWindowDriver {
   /// Replays one batch of commands (submit-time stamps are overwritten
   /// window by window). The clock carries across run() calls.
   void run(const std::vector<Command>& commands) {
-    std::size_t i = 0;
-    while (i < commands.size()) {
-      const std::size_t end = std::min(commands.size(), i + window_);
-      for (; i < end; ++i) {
-        Command c = commands[i];
-        c.submit_time_s = clock_s_;
-        device_->submit(c);
-      }
-      buffer_.clear();
-      device_->drain(&buffer_);
-      if (sink_ != nullptr)
-        sink_->insert(sink_->end(), buffer_.begin(), buffer_.end());
-      // drain() delivers in completion order, so back() is the window's
-      // last completion; the max keeps the clock monotone even for an
-      // all-flush window on an idle device (complete == submit).
-      if (!buffer_.empty())
-        clock_s_ = std::max(clock_s_, buffer_.back().complete_time_s);
-    }
+    clock_s_ = device_->run_burst_windows(commands, window_, clock_s_, sink_);
   }
 
  private:
   Device* device_;
   std::size_t window_;
   double clock_s_;
-  std::vector<Completion> buffer_;
   std::vector<Completion>* sink_ = nullptr;
 };
 

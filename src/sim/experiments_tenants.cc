@@ -19,8 +19,8 @@
 // counts and host-observed UBER — the disturb the aggressor generates is
 // visible on the same rows that show who paid for it in latency.
 //
-// Driven by drive_days in burst windows (whole windows co-pending,
-// drained per window), so the completion log — and this table — is a
+// Driven by drive_days in burst windows (whole windows co-pending, each
+// serviced as one set), so the completion log — and this table — is a
 // pure function of (seed, scale): byte-identical at any --threads
 // (tests/test_arbitration.cc, tests/test_golden_experiments.cc).
 #include <memory>

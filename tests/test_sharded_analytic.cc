@@ -211,21 +211,42 @@ ArbitrationConfig tenant_arbitration(ArbitrationPolicy policy) {
   return arb;
 }
 
+/// How burst_run replays its windows: through BurstWindowDriver (physics
+/// of many windows in one pass), or by submitting each window and
+/// draining it, so every window is one pump of `window` commands.
+enum class Replay { kDriver, kDrainPerWindow };
+
 /// Warm-fills `device`, installs `policy`, and drives `stream` through it
 /// in burst windows of `window` commands with a nightly maintenance pass
 /// halfway; returns the completion log followed by the statistics.
 std::string burst_run(Device& device, ArbitrationPolicy policy,
-                      const std::vector<Command>& stream, int window) {
+                      const std::vector<Command>& stream, int window,
+                      Replay replay = Replay::kDriver) {
   warm_fill(device);
   device.set_arbitration(tenant_arbitration(policy));
   std::vector<Completion> log;
   BurstWindowDriver driver(device, window);
   driver.set_completion_sink(&log);
+  double clock_s = device.now_s();
+  const auto run = [&](std::vector<Command>::const_iterator begin,
+                       std::vector<Command>::const_iterator end) {
+    if (replay == Replay::kDriver) return driver.run({begin, end});
+    while (begin != end) {
+      const auto stop = begin + std::min<std::ptrdiff_t>(window, end - begin);
+      for (; begin != stop; ++begin) {
+        Command c = *begin;
+        c.submit_time_s = clock_s;
+        device.submit(c);
+      }
+      device.drain(&log);
+      clock_s = std::max(clock_s, log.back().complete_time_s);
+    }
+  };
   const auto half = stream.begin() + static_cast<std::ptrdiff_t>(
                                          stream.size() / 2);
-  driver.run({stream.begin(), half});
+  run(stream.begin(), half);
   device.end_of_day();
-  driver.run({half, stream.end()});
+  run(half, stream.end());
   EXPECT_EQ(log.size(), stream.size());
   return log_of(log) + stats_of(device.stats());
 }
@@ -245,10 +266,11 @@ class PoolOnlySsdServicer final : public SsdServicer {
 
 TEST(ShardedAnalytic, InlineAndPooledPumpsGiveIdenticalResults) {
   // An all-analytic device runs a pump of fewer than 64 commands on the
-  // calling thread and a larger one on the pool. The windows straddle
-  // that threshold. At 1 worker everything runs inline; at 4 workers the
-  // large windows go through the pool; the pool-only twin pools every
-  // window. All three must agree byte for byte.
+  // calling thread and a larger one on the pool. Each window is submitted
+  // and drained, one pump per window, and the windows straddle that
+  // threshold. At 1 worker everything runs inline; at 4 workers the large
+  // windows go through the pool; the pool-only twin pools every window.
+  // All three must agree byte for byte.
   const auto params = flash::FlashModelParams::default_2ynm();
   std::vector<Command> stream;
   for (const ArbitrationPolicy policy :
@@ -261,14 +283,16 @@ TEST(ShardedAnalytic, InlineAndPooledPumpsGiveIdenticalResults) {
                                             workers, /*queues=*/2);
         if (stream.empty())
           stream = tenant_stream(device->logical_pages(), 1.0, /*seed=*/31);
-        runs.push_back(burst_run(*device, policy, stream, window));
+        runs.push_back(burst_run(*device, policy, stream, window,
+                                 Replay::kDrainPerWindow));
       }
       std::vector<std::unique_ptr<Servicer>> pool_only;
       for (std::uint32_t s = 0; s < 4; ++s)
         pool_only.push_back(std::make_unique<PoolOnlySsdServicer>(
             shard_config(), params, Device::shard_seed(11, s)));
       Device reference(std::move(pool_only), /*workers=*/4, /*queues=*/2);
-      runs.push_back(burst_run(reference, policy, stream, window));
+      runs.push_back(burst_run(reference, policy, stream, window,
+                               Replay::kDrainPerWindow));
       EXPECT_EQ(runs[0], runs[1])
           << arbitration_policy_name(policy) << " window " << window;
       EXPECT_EQ(runs[0], runs[2])
