@@ -27,6 +27,8 @@ constexpr std::size_t kInlinePumpCommands = 64;
 /// run_burst_windows runs the physics of whole windows up to this many
 /// commands (at least one window) ahead of their timing. It bounds the
 /// pass's scratch: the admitted commands, starts_ and each shard's costs.
+/// On rdbench tenants_qos (16-command windows, 4 workers) 1024 gave about
+/// two thirds of 4096's gain and 16384 no more (docs/PERF_RECORDS.md).
 constexpr std::size_t kAheadCommands = 4096;
 
 std::vector<std::unique_ptr<Servicer>> one_shard(
@@ -120,9 +122,10 @@ void Device::set_arbitration(const ArbitrationConfig& config) {
   virtual_finish_.assign(tenant_count(), 0.0);
 }
 
-Device::Submitted Device::admit(const Command& command) {
+Device::Submitted Device::admit(const Command& command, double submit_s) {
   Submitted sub;
   sub.command = command;
+  sub.command.submit_time_s = submit_s;
   sub.command.queue =
       static_cast<std::uint16_t>(command.queue % queue_count());
   const auto tenant =
@@ -173,9 +176,7 @@ double Device::stamp(double submit_s) {
 }
 
 std::uint64_t Device::submit(const Command& command) {
-  Command stamped = command;
-  stamped.submit_time_s = stamp(command.submit_time_s);
-  pending_.push_back(admit(stamped));
+  pending_.push_back(admit(command, stamp(command.submit_time_s)));
   ++submitted_;
   return pending_.back().id;
 }
@@ -386,9 +387,8 @@ double Device::run_closed_loop(const std::vector<Command>& commands,
     std::pop_heap(in_flight_.begin(), in_flight_.end(), later);
     release_s = in_flight_.back().complete_time_s;
     in_flight_.pop_back();
-    Command c = commands[k];
-    c.submit_time_s = stamp(release_s);
-    in_flight_.push_back(service_timing(admit(c), k));
+    in_flight_.push_back(
+        service_timing(admit(commands[k], stamp(release_s)), k));
     ++submitted_;
     if (sink != nullptr) sink->push_back(in_flight_.back());
     std::push_heap(in_flight_.begin(), in_flight_.end(), later);
@@ -414,41 +414,38 @@ double Device::run_burst_windows(const std::vector<Command>& commands,
   // stamped, and their physics runs in one pass ahead of their timing. A
   // deadline key is stamp + deadline, and rounding can tie two such keys
   // at one stamp and not at another, so deadline looks one window ahead.
-  const bool ahead = arb_.policy != ArbitrationPolicy::kDeadline;
+  const bool look_ahead = arb_.policy != ArbitrationPolicy::kDeadline;
   const std::size_t chunk =
-      ahead ? std::max<std::size_t>(1, kAheadCommands / window) * window
-            : window;
-  std::vector<Submitted> admitted;
-  admitted.reserve(std::min(n, chunk));
+      look_ahead
+          ? std::max<std::size_t>(1, kAheadCommands / window) * window
+          : window;
   for (std::size_t begin = 0; begin < n; begin += chunk) {
     const std::size_t end = std::min(n, begin + chunk);
     // Admit in command order, then sort each window into the pump's
     // service order (FIFO's is id order, which arbitration_order is not).
-    admitted.clear();
+    ahead_.clear();
     for (std::size_t w = begin; w < end; w += window) {
-      const auto first = static_cast<std::ptrdiff_t>(admitted.size());
-      for (std::size_t i = w; i < std::min(end, w + window); ++i) {
-        Command c = commands[i];
-        if (!ahead) c.submit_time_s = stamp(clock_s);
-        admitted.push_back(admit(c));
-      }
+      const auto first = static_cast<std::ptrdiff_t>(ahead_.size());
+      // Looking ahead, the stamp is set when the window is timed.
+      for (std::size_t i = w; i < std::min(end, w + window); ++i)
+        ahead_.push_back(admit(commands[i], look_ahead
+                                                ? commands[i].submit_time_s
+                                                : stamp(clock_s)));
       if (arb_.policy != ArbitrationPolicy::kFifo)
-        std::sort(admitted.begin() + first, admitted.end(),
-                  arbitration_order);
+        std::sort(ahead_.begin() + first, ahead_.end(), arbitration_order);
     }
-    service_physics(admitted.size(), [&](std::size_t k) -> const Command& {
-      return admitted[k].command;
+    service_physics(ahead_.size(), [&](std::size_t k) -> const Command& {
+      return ahead_[k].command;
     });
 
     // Timing, window by window: each window is stamped at the clock its
     // predecessor's last completion set, exactly as submit() would stamp
     // it, and its records are delivered in log order.
-    for (std::size_t w = 0; w < admitted.size(); w += window) {
+    for (std::size_t w = 0; w < ahead_.size(); w += window) {
       held_.clear();
-      for (std::size_t k = w; k < std::min(admitted.size(), w + window);
-           ++k) {
-        Submitted& sub = admitted[k];
-        if (ahead) sub.command.submit_time_s = stamp(clock_s);
+      for (std::size_t k = w; k < std::min(ahead_.size(), w + window); ++k) {
+        Submitted& sub = ahead_[k];
+        if (look_ahead) sub.command.submit_time_s = stamp(clock_s);
         held_.push_back(service_timing(sub, k));
       }
       if (!std::is_sorted(held_.begin(), held_.end(), completion_log_order))

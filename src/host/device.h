@@ -309,12 +309,13 @@ class Device {
   /// clamp, see clamped_submits()) and makes it the newest.
   double stamp(double submit_s);
 
-  /// submit()'s bookkeeping, shared with the batch runners: maps queue
-  /// and tenant into range and assigns the id, flush epoch and
-  /// arbitration key. The command is not queued. Only a deadline key
-  /// reads the submit stamp, so under deadline the command must come
-  /// stamped (stamp()); the others may be stamped later.
-  Submitted admit(const Command& command);
+  /// submit()'s bookkeeping, shared with the batch runners: copies the
+  /// command with submit stamp `submit_s`, maps queue and tenant into
+  /// range and assigns the id, flush epoch and arbitration key. The
+  /// command is not queued. Only a deadline key reads the stamp, so under
+  /// deadline `submit_s` must already be stamp()ed; under the other
+  /// policies the stamp may be set later.
+  Submitted admit(const Command& command, double submit_s);
 
   /// Physics half: de-stripes commands [0, n) — command_at(k), in service
   /// order — and services every landing on its shard's servicer into
@@ -363,6 +364,10 @@ class Device {
   /// run_closed_loop scratch: the in-flight records, a min-heap in
   /// completion_log_order.
   std::vector<Completion> in_flight_;
+  /// run_burst_windows scratch: one chunk's admitted commands, each window
+  /// in service order. Kept across calls, as the other scratch is, so a
+  /// replay does not allocate and free a chunk per call.
+  std::vector<Submitted> ahead_;
 };
 
 }  // namespace rdsim::host
