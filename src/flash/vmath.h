@@ -40,8 +40,9 @@ inline double vexp(double x) {
   constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
   const double kd = (x * kInvLn2 + kShift) - kShift;
   // k fits in 11 bits; int32 keeps the double->int conversion on a packed
-  // SSE2 instruction so the caller's loop can vectorize (double<->int64
-  // conversions only exist as AVX-512 instructions).
+  // SSE2 instruction so the caller's loop vectorizes in every kernel
+  // variant (packed double<->int64 conversions need AVX-512DQ, which
+  // only the x86-64-v4 variant has; both routes give the same k).
   const auto k = static_cast<std::int64_t>(static_cast<std::int32_t>(kd));
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
 

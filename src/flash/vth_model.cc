@@ -1,12 +1,14 @@
 #include "flash/vth_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
 #include "common/stats.h"
 #include "flash/vmath.h"
+#include "flash/vth_kernels.h"
 
 namespace rdsim::flash {
 namespace {
@@ -78,18 +80,9 @@ void present_batch(const FlashModelParams& p, const VthModel::SenseCoeffs& c,
   }
 }
 
-/// Per-wordline constants of the crossing computation: exp(B * (R - guard))
-/// for each read reference R.
-struct CrossingRefs {
-  double k[3];
-};
-
-CrossingRefs crossing_refs(const FlashModelParams& p) {
-  const double g = VthModel::kCrossingGuardVth;
-  return {{std::exp(p.disturb_b * (p.vref_a - g)),
-           std::exp(p.disturb_b * (p.vref_b - g)),
-           std::exp(p.disturb_b * (p.vref_c - g))}};
-}
+/// The crossing computation's constants, exp(B * (R - guard)) for each
+/// read reference R (VthModel::crossing_k_).
+using CrossingRefs = std::array<double, 3>;
 
 /// Senses one cell exactly (present_cell, then classify) and returns its
 /// crossing-row entry. V(D) = v_r + ln(1 + A*s*B*D*e)/B reaches R - guard
@@ -112,7 +105,7 @@ inline float sense_cell(const FlashModelParams& p,
   const std::uint32_t state = static_cast<std::uint32_t>(v >= p.vref_a) +
                               static_cast<std::uint32_t>(v >= p.vref_b) +
                               static_cast<std::uint32_t>(v >= p.vref_c);
-  const double k = state == 0 ? r.k[0] : (state == 1 ? r.k[1] : r.k[2]);
+  const double k = state == 0 ? r[0] : (state == 1 ? r[1] : r[2]);
   double dose = (k * e - 1.0) /
                 (p.disturb_a * susceptibility * p.disturb_b * e) *
                 (1.0 - VthModel::kCrossingGuardRel);
@@ -129,7 +122,7 @@ inline float sense_cell(const FlashModelParams& p,
 }
 
 template <bool kDose, bool kRet>
-void sense_first(const FlashModelParams& params,
+void sense_first(const FlashModelParams& params, const CrossingRefs& refs,
                  const VthModel::SenseCoeffs& coeffs, const CellSoaView& cells,
                  float* cross, std::uint8_t* states) {
   // Local copies of everything the loop reads through a reference: the
@@ -137,7 +130,7 @@ void sense_first(const FlashModelParams& params,
   // reload it per cell and keep the loop from vectorizing.
   const FlashModelParams p = params;
   const VthModel::SenseCoeffs c = coeffs;
-  const CrossingRefs r = crossing_refs(p);
+  const CrossingRefs r = refs;
   const std::size_t n = cells.n;
   const float* v0 = cells.v0;
   const float* susceptibility = cells.susceptibility;
@@ -151,8 +144,9 @@ void sense_first(const FlashModelParams& params,
 }
 
 template <bool kDose, bool kRet>
-void resense(const FlashModelParams& p, const VthModel::SenseCoeffs& c,
-             const CellSoaView& cells, float* cross, std::uint8_t* states) {
+void resense(const FlashModelParams& p, const CrossingRefs& r,
+             const VthModel::SenseCoeffs& c, const CellSoaView& cells,
+             float* cross, std::uint8_t* states) {
   // One vectorized pass: unpack every state and count the cells whose
   // crossing dose was reached; usually there are none.
   const std::size_t n = cells.n;
@@ -163,7 +157,6 @@ void resense(const FlashModelParams& p, const VthModel::SenseCoeffs& c,
         static_cast<std::size_t>(c.dose >= static_cast<double>(cross[i]));
   }
   if (crossed == 0) return;
-  const CrossingRefs r = crossing_refs(p);
   for (std::size_t i = 0; i < n; ++i) {
     if (!(c.dose >= static_cast<double>(cross[i]))) continue;
     cross[i] = sense_cell<kDose, kRet>(
@@ -203,6 +196,10 @@ bool FlashModelParams::is_sane() const {
 
 VthModel::VthModel(const FlashModelParams& params) : params_(params) {
   assert(params_.is_sane());
+  const double g = kCrossingGuardVth;
+  crossing_k_ = {std::exp(params_.disturb_b * (params_.vref_a - g)),
+                 std::exp(params_.disturb_b * (params_.vref_b - g)),
+                 std::exp(params_.disturb_b * (params_.vref_c - g))};
 }
 
 double VthModel::state_mean(CellState state, double pe_cycles) const {
@@ -259,44 +256,6 @@ CellGroundTruth VthModel::sample_program(CellState state, double pe_cycles,
   return sample_program_from_draws(state, pe_cycles, u, z0, zs, zl);
 }
 
-void VthModel::sample_program_batch(const std::uint8_t* intended,
-                                    std::size_t n, double pe_cycles, Rng& rng,
-                                    ProgramSampleScratch& scratch, float* v0,
-                                    float* susceptibility,
-                                    float* leak_rate) const {
-  scratch.u.resize(n);
-  scratch.z.resize(n);
-  scratch.landed.resize(n);
-  const double perr = params_.program_error_rate *
-                      (1.0 + pe_cycles / params_.wear_prog_error_pe);
-  double mean[4], sd[4];
-  for (int s = 0; s < 4; ++s) {
-    mean[s] = state_mean(static_cast<CellState>(s), pe_cycles);
-    sd[s] = state_sd(static_cast<CellState>(s), pe_cycles);
-  }
-
-  // Pass 1: mis-program uniforms -> landed states (branch-free).
-  rng.fill_uniform(scratch.u.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    scratch.landed[i] = static_cast<std::uint8_t>(
-        landed_index(intended[i], scratch.u[i], perr));
-
-  // Pass 2: v0 = landed mean + landed sd * z.
-  rng.fill_normal(scratch.z.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    v0[i] = static_cast<float>(mean[scratch.landed[i]] +
-                               sd[scratch.landed[i]] * scratch.z[i]);
-
-  // Passes 3/4: lognormal multipliers. The normals are RNG-serial, but the
-  // exponential runs as a straight-line vexp loop over the whole wordline.
-  rng.fill_normal(scratch.z.data(), n, 0.0, params_.disturb_sigma);
-  for (std::size_t i = 0; i < n; ++i)
-    susceptibility[i] = static_cast<float>(vmath::vexp(scratch.z[i]));
-  rng.fill_normal(scratch.z.data(), n, 0.0, params_.ret_sigma);
-  for (std::size_t i = 0; i < n; ++i)
-    leak_rate[i] = static_cast<float>(vmath::vexp(scratch.z[i]));
-}
-
 double VthModel::disturb_dose(double reads, double vpass,
                               double pe_cycles) const {
   const double vpass_factor =
@@ -319,22 +278,6 @@ double VthModel::apply_disturb(double v0, double susceptibility,
   const double y = params_.disturb_a * susceptibility * b * dose *
                    disturb_factor(b, v0);
   return v0 + vmath::vlog1p(y) / b;
-}
-
-void VthModel::disturb_shift_batch(const double* v, std::size_t n,
-                                   double dose, double* out) const {
-  if (dose <= 0.0) {
-    std::fill_n(out, n, 0.0);
-    return;
-  }
-  // apply_disturb's arithmetic with susceptibility 1 (a * 1 == a exactly)
-  // and the page-invariant product hoisted: it associates left to right
-  // there too, so k * e rounds identically.
-  const double b = params_.disturb_b;
-  const double k = params_.disturb_a * b * dose;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = (v[i] + vmath::vlog1p(k * disturb_factor(b, v[i])) / b) - v[i];
-  }
 }
 
 double VthModel::retention_shift(double v0, double days,
@@ -362,36 +305,12 @@ VthModel::SenseCoeffs VthModel::sense_coeffs(double dose, double days,
   return c;
 }
 
-void VthModel::present_vth_batch(const CellSoaView& cells,
-                                 const SenseCoeffs& coeffs,
-                                 double* out) const {
-  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
-    present_batch<kDose, kRet>(params_, coeffs, cells, out);
-  });
-}
-
 double VthModel::present_vth_cell(const SenseCoeffs& coeffs, double v0,
                                   double susceptibility,
                                   double leak_rate) const {
   return dispatch(coeffs, [&]<bool kDose, bool kRet>() {
     return present_cell<kDose, kRet>(params_, coeffs, v0, susceptibility,
                                      leak_rate);
-  });
-}
-
-void VthModel::sense_first_batch(const CellSoaView& cells,
-                                 const SenseCoeffs& coeffs, float* cross,
-                                 std::uint8_t* states) const {
-  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
-    sense_first<kDose, kRet>(params_, coeffs, cells, cross, states);
-  });
-}
-
-void VthModel::resense_batch(const CellSoaView& cells,
-                             const SenseCoeffs& coeffs, float* cross,
-                             std::uint8_t* states) const {
-  dispatch(coeffs, [&]<bool kDose, bool kRet>() {
-    resense<kDose, kRet>(params_, coeffs, cells, cross, states);
   });
 }
 
@@ -410,6 +329,255 @@ CellState VthModel::classify(double vth) const {
   return CellState::kP3;
 }
 
+// --- Batch kernels, one copy per instruction set ---------------------------
+//
+// The six batch entry points are bodies of VthKernelBodies, and each
+// variant below is a set of [[gnu::flatten]] wrappers over them: flatten
+// inlines the whole body (dispatch, the per-cell templates, vmath) into
+// the wrapper, so it is compiled for the wrapper's target. Whatever stays
+// out of line (libm, Rng's fills, vector growth) is the baseline build's
+// one copy, so no wider code can reach a caller that did not choose it —
+// which compiling this file once per -march would not ensure (inline
+// functions emitted at v4 are COMDAT copies the linker may hand to
+// baseline callers). -ffp-contract=off rules out FMA in every variant,
+// and nothing else here lets the compiler pick a different rounding, so
+// every variant returns the baseline's bits (tests/test_vth_kernels.cc).
+
+/// The batch entry points as functions of the model.
+struct VthKernelBodies {
+  static void present_vth_batch(const VthModel& m, const CellSoaView& cells,
+                                const VthModel::SenseCoeffs& coeffs,
+                                double* out) {
+    dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+      present_batch<kDose, kRet>(m.params_, coeffs, cells, out);
+    });
+  }
+
+  static void sense_first_batch(const VthModel& m, const CellSoaView& cells,
+                                const VthModel::SenseCoeffs& coeffs,
+                                float* cross, std::uint8_t* states) {
+    dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+      sense_first<kDose, kRet>(m.params_, m.crossing_k_, coeffs, cells, cross,
+                               states);
+    });
+  }
+
+  static void resense_batch(const VthModel& m, const CellSoaView& cells,
+                            const VthModel::SenseCoeffs& coeffs, float* cross,
+                            std::uint8_t* states) {
+    dispatch(coeffs, [&]<bool kDose, bool kRet>() {
+      resense<kDose, kRet>(m.params_, m.crossing_k_, coeffs, cells, cross,
+                           states);
+    });
+  }
+
+  static void disturb_shift_batch(const VthModel& m, const double* v,
+                                  std::size_t n, double dose, double* out) {
+    if (dose <= 0.0) {
+      std::fill_n(out, n, 0.0);
+      return;
+    }
+    // apply_disturb's arithmetic with susceptibility 1 (a * 1 == a
+    // exactly) and the page-invariant product hoisted: it associates left
+    // to right there too, so k * e rounds identically.
+    const double b = m.params_.disturb_b;
+    const double k = m.params_.disturb_a * b * dose;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = (v[i] + vmath::vlog1p(k * disturb_factor(b, v[i])) / b) - v[i];
+    }
+  }
+
+  static void sample_program_batch(const VthModel& m,
+                                   const std::uint8_t* intended, std::size_t n,
+                                   double pe_cycles, Rng& rng,
+                                   VthModel::ProgramSampleScratch& scratch,
+                                   float* v0, float* susceptibility,
+                                   float* leak_rate) {
+    const FlashModelParams& p = m.params_;
+    scratch.u.resize(n);
+    scratch.z.resize(n);
+    scratch.landed.resize(n);
+    const double perr =
+        p.program_error_rate * (1.0 + pe_cycles / p.wear_prog_error_pe);
+    double mean[4], sd[4];
+    for (int s = 0; s < 4; ++s) {
+      mean[s] = m.state_mean(static_cast<CellState>(s), pe_cycles);
+      sd[s] = m.state_sd(static_cast<CellState>(s), pe_cycles);
+    }
+
+    // Pass 1: mis-program uniforms -> landed states (branch-free).
+    rng.fill_uniform(scratch.u.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      scratch.landed[i] = static_cast<std::uint8_t>(
+          landed_index(intended[i], scratch.u[i], perr));
+
+    // Pass 2: v0 = landed mean + landed sd * z.
+    rng.fill_normal(scratch.z.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      v0[i] = static_cast<float>(mean[scratch.landed[i]] +
+                                 sd[scratch.landed[i]] * scratch.z[i]);
+
+    // Passes 3/4: lognormal multipliers. The normals are RNG-serial, but
+    // the exponential runs as a straight-line vexp loop over the wordline.
+    rng.fill_normal(scratch.z.data(), n, 0.0, p.disturb_sigma);
+    for (std::size_t i = 0; i < n; ++i)
+      susceptibility[i] = static_cast<float>(vmath::vexp(scratch.z[i]));
+    rng.fill_normal(scratch.z.data(), n, 0.0, p.ret_sigma);
+    for (std::size_t i = 0; i < n; ++i)
+      leak_rate[i] = static_cast<float>(vmath::vexp(scratch.z[i]));
+  }
+
+  static void classify_batch(const double* vth, std::size_t n, double va,
+                             double vb, double vc, std::uint8_t* out) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = vth[i];
+      // Same result as classify(): the references are ordered, so
+      // counting crossed references yields the state index.
+      out[i] = static_cast<std::uint8_t>(static_cast<int>(v >= va) +
+                                         static_cast<int>(v >= vb) +
+                                         static_cast<int>(v >= vc));
+    }
+  }
+};
+
+namespace kernels {
+namespace {
+
+/// Declares the variant `name`: name<&VthKernelBodies::f>::run is f,
+/// inlined whole into a function with the attributes given.
+#define RDSIM_VTH_KERNEL_VARIANT(name, ...)                           \
+  template <auto kBody>                                               \
+  struct name;                                                        \
+  template <typename... Args, void (*kBody)(Args...)>                 \
+  struct name<kBody> {                                                \
+    __VA_ARGS__ static void run(Args... args) { kBody(args...); }     \
+  };
+
+/// The table row of variant V.
+template <template <auto> class V>
+constexpr VthKernels entry(const char* name, bool (*supported)()) {
+  using B = VthKernelBodies;
+  return {name,
+          supported,
+          &V<&B::present_vth_batch>::run,
+          &V<&B::sense_first_batch>::run,
+          &V<&B::resense_batch>::run,
+          &V<&B::disturb_shift_batch>::run,
+          &V<&B::sample_program_batch>::run,
+          &V<&B::classify_batch>::run};
+}
+
+bool baseline_supported() { return true; }
+
+RDSIM_VTH_KERNEL_VARIANT(Baseline, [[gnu::flatten]])
+
+// The wider variants exist where the compiler can target them per
+// function (GCC 11 and Clang 12 know the x86-64-v3/v4 names) and the
+// build's baseline does not already include them.
+#if defined(__x86_64__) &&                                  \
+    ((defined(__clang__) && __clang_major__ >= 12) ||       \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11))
+#if !defined(__AVX2__)
+#define RDSIM_VTH_HAVE_V3 1
+#endif
+#if !defined(__AVX512F__)
+#define RDSIM_VTH_HAVE_V4 1
+#endif
+#endif
+
+#if defined(RDSIM_VTH_HAVE_V3) || defined(RDSIM_VTH_HAVE_V4)
+/// x86-64-v3's vector ISA (AVX, AVX2, FMA, BMI1/2; __builtin_cpu_supports
+/// checks the OS saves the wide registers). Every CPU with these also has
+/// v3's F16C, LZCNT and MOVBE, which the kernels never use.
+bool cpu_v3() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
+}
+#endif
+
+#ifdef RDSIM_VTH_HAVE_V3
+RDSIM_VTH_KERNEL_VARIANT(V3, [[gnu::target("arch=x86-64-v3"), gnu::flatten]])
+#endif
+
+#ifdef RDSIM_VTH_HAVE_V4
+/// x86-64-v4: v3 plus AVX-512 F, BW, CD, DQ and VL.
+bool cpu_v4() {
+  return cpu_v3() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512cd") &&
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl");
+}
+
+RDSIM_VTH_KERNEL_VARIANT(V4, [[gnu::target("arch=x86-64-v4"), gnu::flatten]])
+#endif
+
+/// Narrowest first.
+constexpr VthKernels kVariants[] = {
+    entry<Baseline>("baseline", baseline_supported),
+#ifdef RDSIM_VTH_HAVE_V3
+    entry<V3>("x86-64-v3", cpu_v3),
+#endif
+#ifdef RDSIM_VTH_HAVE_V4
+    entry<V4>("x86-64-v4", cpu_v4),
+#endif
+};
+
+#undef RDSIM_VTH_HAVE_V4
+#undef RDSIM_VTH_HAVE_V3
+#undef RDSIM_VTH_KERNEL_VARIANT
+
+}  // namespace
+
+std::span<const VthKernels> vth_kernel_variants() { return kVariants; }
+
+const VthKernels& active_vth_kernels() {
+  static const VthKernels& active = []() -> const VthKernels& {
+    for (std::size_t i = std::size(kVariants); i-- > 1;)
+      if (kVariants[i].supported()) return kVariants[i];
+    return kVariants[0];
+  }();
+  return active;
+}
+
+}  // namespace kernels
+
+void VthModel::present_vth_batch(const CellSoaView& cells,
+                                 const SenseCoeffs& coeffs,
+                                 double* out) const {
+  kernels::active_vth_kernels().present_vth_batch(*this, cells, coeffs, out);
+}
+
+void VthModel::sense_first_batch(const CellSoaView& cells,
+                                 const SenseCoeffs& coeffs, float* cross,
+                                 std::uint8_t* states) const {
+  kernels::active_vth_kernels().sense_first_batch(*this, cells, coeffs, cross,
+                                                  states);
+}
+
+void VthModel::resense_batch(const CellSoaView& cells,
+                             const SenseCoeffs& coeffs, float* cross,
+                             std::uint8_t* states) const {
+  kernels::active_vth_kernels().resense_batch(*this, cells, coeffs, cross,
+                                              states);
+}
+
+void VthModel::disturb_shift_batch(const double* v, std::size_t n,
+                                   double dose, double* out) const {
+  kernels::active_vth_kernels().disturb_shift_batch(*this, v, n, dose, out);
+}
+
+void VthModel::sample_program_batch(const std::uint8_t* intended,
+                                    std::size_t n, double pe_cycles, Rng& rng,
+                                    ProgramSampleScratch& scratch, float* v0,
+                                    float* susceptibility,
+                                    float* leak_rate) const {
+  kernels::active_vth_kernels().sample_program_batch(
+      *this, intended, n, pe_cycles, rng, scratch, v0, susceptibility,
+      leak_rate);
+}
+
 void VthModel::classify_batch(const double* vth, std::size_t n,
                               std::uint8_t* out) const {
   classify_batch(vth, n, params_.vref_a, params_.vref_b, params_.vref_c, out);
@@ -417,14 +585,7 @@ void VthModel::classify_batch(const double* vth, std::size_t n,
 
 void VthModel::classify_batch(const double* vth, std::size_t n, double va,
                               double vb, double vc, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = vth[i];
-    // Same result as classify(): the references are ordered, so counting
-    // crossed references yields the state index.
-    out[i] = static_cast<std::uint8_t>(static_cast<int>(v >= va) +
-                                       static_cast<int>(v >= vb) +
-                                       static_cast<int>(v >= vc));
-  }
+  kernels::active_vth_kernels().classify_batch(vth, n, va, vb, vc, out);
 }
 
 double VthModel::pdf_intersection(CellState lower, double pe_cycles,

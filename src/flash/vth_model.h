@@ -22,8 +22,13 @@
 // one `dose >= cross` compare per cell plus the exact per-cell sense of
 // the few cells past their crossing dose, which it also refreshes. The
 // states equal a full sense bit for bit (tests/test_incremental_sense.cc).
+//
+// The six batch entry points run in the widest instruction-set variant
+// the CPU supports (flash/vth_kernels.h), chosen once per process; every
+// variant returns the same bits.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -226,7 +231,12 @@ class VthModel {
                         double base_dose, double extra_dose) const;
 
  private:
+  friend struct VthKernelBodies;  // The batch bodies (vth_model.cc).
+
   FlashModelParams params_;
+  /// exp(B * (R - kCrossingGuardVth)) for R = Va, Vb, Vc: the crossing
+  /// computation's constants, hoisted out of every sense.
+  std::array<double, 3> crossing_k_{};
 };
 
 }  // namespace rdsim::flash

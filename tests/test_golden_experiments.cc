@@ -7,7 +7,11 @@
 // that intentionally changes results must re-golden this table and say
 // why. The vectorized sense kernel avoids libm in the per-cell paths and
 // the build pins -ffp-contract=off, so the hashes hold across compilers
-// and -march levels on the same libm. They are NOT libm-independent: the
+// and -march levels on the same libm, and across the instruction-set
+// variant of VthModel's batch kernels that the CPU selects at run time
+// (tests/test_vth_kernels.cc pins each variant to the baseline's bits,
+// so a host that runs this table in the AVX-512 variant checks the
+// SSE one too). They are NOT libm-independent: the
 // program-time draws still use std::exp / std::log (via Rng::normal), so
 // a libm whose last-ulp rounding differs from CI's glibc can shift them.
 // On such a platform set RDSIM_SKIP_GOLDEN=1 (the thread-determinism and
