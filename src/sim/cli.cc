@@ -1,6 +1,5 @@
 #include "sim/cli.h"
 
-#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -39,9 +38,9 @@ CliOptions parse_cli(int argc, char** argv) {
       std::uint64_t threads = 0;
       if (options.error.empty() &&
           (!text::parse_u64(value, &threads) || threads < 1 ||
-           threads > INT_MAX))
-        options.error = "--threads must be an integer >= 1, got '" + value +
-                        "'";
+           threads > 1024))
+        options.error =
+            "--threads must be an integer in [1, 1024], got '" + value + "'";
       else if (options.error.empty())
         options.config.threads = static_cast<int>(threads);
     } else if (take_value(argc, argv, i, "--out-dir", value, options)) {
@@ -114,7 +113,8 @@ CliOptions parse_cli(int argc, char** argv) {
 const char* cli_flag_help() {
   return
       "  --seed S        base seed for all random streams (default 42)\n"
-      "  --threads N     worker threads; results are identical for any N\n"
+      "  --threads N     worker threads, 1 to 1024; results are identical\n"
+      "                  for any N\n"
       "  --out-dir DIR   directory for CSV output (default ./out)\n"
       "  --csv [PATH]    write the CSV (default PATH <out-dir>/<name>.csv);\n"
       "                  the rdsim driver then keeps the table off stdout\n"

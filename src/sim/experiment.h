@@ -5,14 +5,15 @@
 // over shared library code. Experiments receive an ExperimentContext that
 // carries the base seed, the chip geometry, a Monte-Carlo scale knob, and
 // a handle to the thread pool — so the same experiment runs full-size from
-// the `rdsim` driver, as a per-figure bench binary, or tiny-and-fast from
-// the unit tests, with results byte-identical across thread counts.
+// the `rdsim` driver or tiny-and-fast from the unit tests, with results
+// byte-identical across thread counts.
 #pragma once
 
 #include <csignal>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,17 +79,19 @@ class ExperimentContext {
   /// generator in every run with the same seed.
   Rng next_stream() { return Rng::stream(config_.seed, stream_base_++); }
 
-  /// Deterministic parallel map: shard i runs fn(i, rng_i) somewhere on
-  /// the pool with rng_i derived only from (seed, stream numbering, i);
-  /// results come back in index order.
-  template <typename R, typename Fn>
-  std::vector<R> map_seeded(std::size_t n, Fn&& fn) {
+  /// Deterministic parallel sweep: fn(points[i], rng_i) runs somewhere
+  /// on the pool with rng_i = Rng::stream(seed, base + i), where base is
+  /// the next unused stream number (it then advances by points.size());
+  /// results come back in point order.
+  template <typename Point, typename Fn>
+  auto sweep(const std::vector<Point>& points, Fn&& fn) {
+    using R = std::invoke_result_t<Fn&, const Point&, Rng&>;
     const std::uint64_t base = stream_base_;
-    stream_base_ += n;
+    stream_base_ += points.size();
     const std::uint64_t seed = config_.seed;
-    return pool_->map<R>(n, [&fn, base, seed](std::size_t i) {
+    return pool_->map<R>(points.size(), [&](std::size_t i) {
       Rng rng = Rng::stream(seed, base + i);
-      return fn(i, rng);
+      return fn(points[i], rng);
     });
   }
 

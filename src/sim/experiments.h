@@ -1,25 +1,30 @@
 // rdsim/sim/experiments.h
 //
-// Internal declarations of the individual experiment functions, grouped by
-// the machinery they exercise:
-//   * analytic  — closed-form RberModel / EnduranceEvaluator sweeps;
-//   * chip      — Monte-Carlo nand::Chip experiments;
-//   * system    — whole-SSD trace replay and the DRAM RowHammer figures.
+// Internal declarations of the individual experiment functions, one group
+// per experiments_<group>.cc file: analytic (closed-form RberModel /
+// EnduranceEvaluator sweeps), chip (Monte-Carlo nand::Chip experiments),
+// system (whole-SSD endurance, queued-drive QoS, DRAM RowHammer), tenants,
+// reliability, replay, scenario (with the shared drive helpers) and fleet.
 // The registry in experiment.cc stitches these into the public list.
 //
 // Every queued-drive figure (fig_qos, fig_qos_mc, fig_qos_tenants,
 // fig_reliability, fig_trace_replay, scenario) describes its drive as a
-// cfg::ScenarioSpec and brings it up with build_drive
-// (experiments_scenario.cc); generated traffic then runs through
-// drive_days, trace files through replay::replay_trace.
+// cfg::ScenarioSpec and brings it up with build_drive; the sweeping
+// figures do so through sweep_drives. Generated traffic then runs
+// through drive_days, trace files through replay::replay_trace.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "cfg/spec.h"
 #include "host/device.h"
+#include "replay/replayer.h"
 #include "sim/experiment.h"
 
 namespace rdsim::sim {
@@ -63,6 +68,29 @@ std::unique_ptr<host::Device> build_drive(const cfg::ScenarioSpec& spec,
                                           std::uint64_t drive_seed,
                                           int workers);
 
+/// Runs fn(spec, device) on a fresh build_drive(spec, drive_seed, ...)
+/// per spec; results come back in spec order. The specs alone decide
+/// where: all-analytic drives each run on a one-worker device, the points
+/// spread over the pool; once any drive has Monte Carlo chips, the points
+/// run in order on the calling thread, each device as wide as the pool.
+/// No context stream is consumed, so results never depend on placement.
+template <typename Fn>
+auto sweep_drives(ExperimentContext& ctx,
+                  const std::vector<cfg::ScenarioSpec>& specs,
+                  std::uint64_t drive_seed, Fn&& fn) {
+  using R = std::invoke_result_t<Fn&, const cfg::ScenarioSpec&,
+                                 host::Device&>;
+  const bool analytic = std::all_of(
+      specs.begin(), specs.end(),
+      [](const cfg::ScenarioSpec& spec) { return spec.drive.is_analytic(); });
+  const int workers = analytic ? 1 : ctx.pool().thread_count();
+  ThreadPool caller(1);  // Runs every point inline, in order.
+  return (analytic ? ctx.pool() : caller).map<R>(
+      specs.size(), [&](std::size_t i) {
+        return fn(specs[i], *build_drive(specs[i], drive_seed, workers));
+      });
+}
+
 /// Replays spec.days days of generated traffic with end_of_day after
 /// each. Two or more tenants: one decorrelated stream per tenant, driven
 /// in burst windows of spec.queue_depth so the tenants are co-pending
@@ -72,10 +100,23 @@ std::unique_ptr<host::Device> build_drive(const cfg::ScenarioSpec& spec,
 void drive_days(const cfg::ScenarioSpec& spec, host::Device& device,
                 std::uint64_t trace_seed);
 
+/// Replays the trace file spec.trace describes onto `device`, `window`
+/// records at a time, feeding *tracker when non-null; throws
+/// std::runtime_error when the file does not open.
+void replay_spec_trace(const cfg::TraceSpec& trace, host::Device& device,
+                       replay::LatencyTracker* tracker,
+                       std::size_t window = replay::ReplayOptions{}.window);
+
 /// The shared QoS tail "iops,read_mean_us,read_p50_us,read_p99_us,
 /// read_p999_us,stall_pct", where stall_pct is the background stall as a
 /// share of all command latency.
 std::string qos_columns(const host::CompletionStats& stats);
+
+/// The completion counts "%llu,..." of every status in [first, last]
+/// (severity order), of tenant `tenant` only when one is given.
+std::string status_columns(const host::CompletionStats& stats,
+                           host::Status first, host::Status last,
+                           std::optional<std::uint32_t> tenant = {});
 
 /// A pre-aged sharded Monte Carlo drive of `shards` chips shaped like
 /// `geometry` (wordlines, bitlines, blocks per chip): every block gets

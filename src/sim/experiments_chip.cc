@@ -1,12 +1,13 @@
 // Monte-Carlo chip experiments: the figures that drive the per-cell
 // nand::Chip model. Independent measurement points (read counts, option
-// values, ages) are sharded across the pool with per-shard Rng streams, so
+// values, ages) are swept over the pool (ExperimentContext::sweep), so
 // results are byte-identical for any --threads value. All wordline indices
 // are derived from the geometry, so the same experiments run on
 // Geometry::tiny() in the unit tests.
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -72,10 +73,9 @@ Table run_fig02(ExperimentContext& ctx) {
   // *same* chip (shared seed) so the distributions differ only by the
   // applied reads, exactly like the paper's repeated measurements.
   const std::uint64_t chip_seed = ctx.seed();
-  const auto hists = ctx.map_seeded<Histogram>(
-      read_counts.size(), [&](std::size_t i, Rng&) {
-        return scan_distribution(g, read_counts[i], chip_seed);
-      });
+  const auto hists = ctx.sweep(read_counts, [&](double reads, Rng&) {
+    return scan_distribution(g, reads, chip_seed);
+  });
 
   Table table;
   table.comment(
@@ -165,32 +165,28 @@ Table run_fig10(ExperimentContext& ctx) {
   // chip is rebuilt from a shared seed per point), so the curve reflects
   // the disturb dose, not per-point sampling noise.
   const std::uint64_t chip_seed = ctx.seed();
-  const auto rows = ctx.map_seeded<std::string>(
-      read_counts.size(), [&](std::size_t i, Rng&) {
-        const double reads = read_counts[i];
-        nand::Chip chip = make_aged_chip(g, params, chip_seed, 8000);
-        auto& block = chip.block(0);
-        if (reads > 0) block.apply_reads(wl + 1, reads);
+  const auto rows = ctx.sweep(read_counts, [&](double reads, Rng&) {
+    nand::Chip chip = make_aged_chip(g, params, chip_seed, 8000);
+    auto& block = chip.block(0);
+    if (reads > 0) block.apply_reads(wl + 1, reads);
 
-        const int lsb_errors = block.count_errors({wl, nand::PageKind::kLsb});
-        const int msb_errors = block.count_errors({wl, nand::PageKind::kMsb});
-        const double bits = 2.0 * block.geometry().bitlines;
-        const double rber_before = (lsb_errors + msb_errors) / bits;
+    const int lsb_errors = block.count_errors({wl, nand::PageKind::kLsb});
+    const int msb_errors = block.count_errors({wl, nand::PageKind::kMsb});
+    const double bits = 2.0 * block.geometry().bitlines;
+    const double rber_before = (lsb_errors + msb_errors) / bits;
 
-        const bool engaged = lsb_errors > page_capability ||
-                             msb_errors > page_capability;
-        double rber_after = rber_before;
-        if (engaged) {
-          const core::ReadDisturbRecovery rdr;
-          const auto result = rdr.recover(block, wl);
-          rber_after = result.rber_after();
-        }
-        return strf("%.0f,%.6g,%.6g,%.1f,%d", reads, rber_before, rber_after,
-                    rber_before > 0
-                        ? (1.0 - rber_after / rber_before) * 100.0
-                        : 0.0,
-                    engaged ? 1 : 0);
-      });
+    const bool engaged =
+        lsb_errors > page_capability || msb_errors > page_capability;
+    double rber_after = rber_before;
+    if (engaged) {
+      const core::ReadDisturbRecovery rdr;
+      rber_after = rdr.recover(block, wl).rber_after();
+    }
+    return strf("%.0f,%.6g,%.6g,%.1f,%d", reads, rber_before, rber_after,
+                rber_before > 0 ? (1.0 - rber_after / rber_before) * 100.0
+                                : 0.0,
+                engaged ? 1 : 0);
+  });
 
   Table table;
   table.comment(
@@ -227,12 +223,11 @@ Table run_ablation_rdr(ExperimentContext& ctx) {
   const auto sweep = [&](const char* title, const char* header,
                          const std::vector<double>& values, const char* fmt,
                          auto apply) {
-    const auto rows = ctx.map_seeded<std::string>(
-        values.size(), [&](std::size_t i, Rng&) {
-          core::RdrOptions o;
-          apply(o, values[i]);
-          return strf(fmt, values[i], reduction_with(o));
-        });
+    const auto rows = ctx.sweep(values, [&](double v, Rng&) {
+      core::RdrOptions o;
+      apply(o, v);
+      return strf(fmt, v, reduction_with(o));
+    });
     table.new_section();
     table.comment(title);
     table.row(header);
@@ -267,16 +262,14 @@ Table run_ext_mechanisms(ExperimentContext& ctx) {
     // Shared chip seed per section: the sweep variable (age, technology)
     // acts on the same rebuilt block, as in the original benches.
     const std::uint64_t chip_seed = ctx.seed();
-    const auto rows = ctx.map_seeded<std::string>(
-        ages.size(), [&](std::size_t i, Rng&) {
-          nand::Chip chip = make_aged_chip(g, planar, chip_seed, 12000);
-          auto& b = chip.block(0);
-          b.advance_time(ages[i]);
-          const auto r = core::RetentionFailureRecovery().recover(b, wl);
-          return strf("%.0f,%.6g,%.6g,%.1f", ages[i], r.rber_before(),
-                      r.rber_after(),
-                      (1.0 - r.rber_after() / r.rber_before()) * 100.0);
-        });
+    const auto rows = ctx.sweep(ages, [&](double age, Rng&) {
+      nand::Chip chip = make_aged_chip(g, planar, chip_seed, 12000);
+      auto& b = chip.block(0);
+      b.advance_time(age);
+      const auto r = core::RetentionFailureRecovery().recover(b, wl);
+      return strf("%.0f,%.6g,%.6g,%.1f", age, r.rber_before(), r.rber_after(),
+                  (1.0 - r.rber_after() / r.rber_before()) * 100.0);
+    });
     for (const auto& row : rows) table.row(row);
   }
 
@@ -287,20 +280,18 @@ Table run_ext_mechanisms(ExperimentContext& ctx) {
   {
     const std::vector<double> ages = {0.0, 7.0, 14.0, 21.0};
     const std::uint64_t chip_seed = ctx.seed();
-    const auto rows = ctx.map_seeded<std::string>(
-        ages.size(), [&](std::size_t i, Rng&) {
-          nand::Chip chip = make_aged_chip(g, planar, chip_seed, 8000);
-          auto& b = chip.block(0);
-          b.advance_time(ages[i]);
-          b.apply_reads(wl + 1, 3e5);
-          const core::VrefOptimizer optimizer;
-          const auto learned = optimizer.learn(b, wl);
-          return strf("%.0f,%d,%d", ages[i],
-                      core::VrefOptimizer::count_errors_with_refs(
-                          b, wl, core::VrefOptimizer::defaults(b)),
-                      core::VrefOptimizer::count_errors_with_refs(b, wl,
-                                                                  learned));
-        });
+    const auto rows = ctx.sweep(ages, [&](double age, Rng&) {
+      nand::Chip chip = make_aged_chip(g, planar, chip_seed, 8000);
+      auto& b = chip.block(0);
+      b.advance_time(age);
+      b.apply_reads(wl + 1, 3e5);
+      const core::VrefOptimizer optimizer;
+      const auto learned = optimizer.learn(b, wl);
+      return strf("%.0f,%d,%d", age,
+                  core::VrefOptimizer::count_errors_with_refs(
+                      b, wl, core::VrefOptimizer::defaults(b)),
+                  core::VrefOptimizer::count_errors_with_refs(b, wl, learned));
+    });
     for (const auto& row : rows) table.row(row);
   }
 
@@ -308,18 +299,17 @@ Table run_ext_mechanisms(ExperimentContext& ctx) {
   table.comment("(c) planar 2Y-nm vs early 3D NAND read disturb");
   table.row("technology,slope_8k,errors_at_1m_reads");
   {
+    const std::vector<std::pair<const char*, flash::FlashModelParams>>
+        technologies = {{"planar-2ynm", planar},
+                        {"3d-early", flash::FlashModelParams::early_3d_nand()}};
     const std::uint64_t chip_seed = ctx.seed();
-    const auto rows = ctx.map_seeded<std::string>(2, [&](std::size_t i,
-                                                         Rng&) {
-      const bool is_3d = i == 1;
-      const auto params =
-          is_3d ? flash::FlashModelParams::early_3d_nand() : planar;
+    const auto rows = ctx.sweep(technologies, [&](const auto& tech, Rng&) {
+      const auto& [name, params] = tech;
       const flash::RberModel model(params);
       nand::Chip chip = make_aged_chip(g, params, chip_seed, 8000);
       auto& b = chip.block(0);
       b.apply_reads(wl + 1, 1e6);
-      return strf("%s,%.3g,%d", is_3d ? "3d-early" : "planar-2ynm",
-                  model.disturb_slope(8000),
+      return strf("%s,%.3g,%d", name, model.disturb_slope(8000),
                   b.count_errors({wl, nand::PageKind::kMsb}));
     });
     for (const auto& row : rows) table.row(row);

@@ -9,7 +9,6 @@
 // dedicated Rng streams, so the table is byte-identical for any
 // --threads, and the zero-fault control rows are bit-identical to a
 // fault-free build.
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,6 @@ Table run_fig_reliability(ExperimentContext& ctx) {
   // the default move continuously.
   const std::uint64_t drive_seed = 31 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 8642 + (ctx.seed() - 42);
-  const int workers = ctx.pool().thread_count();
 
   Table table;
   table.comment(
@@ -66,69 +64,65 @@ Table run_fig_reliability(ExperimentContext& ctx) {
         // so the recovery steps (retry, then RDR) do real work here.
         {"worn(pe=25000)", 0.0, -1.0, 25000},
     };
-
-    struct CaseResult {
-      std::string row;
-      std::vector<std::string> shard_rows;
-    };
-    std::vector<CaseResult> results;
+    std::vector<cfg::ScenarioSpec> specs;
     for (const FaultCase& fc : cases) {
       // Pre-aged like a characterization drive so the ECC sees realistic
       // raw error counts under the injected faults.
+      spec.name = fc.label;
       spec.drive = mc_drive(shard_geometry, 4, fc.pre_wear_pe);
       spec.drive.faults.latent_page_prob = fc.latent_page_prob;
       if (fc.die_kill_day >= 0.0) {
         spec.drive.faults.die_kill_shard = 1;
         spec.drive.faults.die_kill_day = fc.die_kill_day;
       }
-      const std::unique_ptr<host::Device> device_ptr =
-          build_drive(spec, drive_seed, workers);
-      host::Device& device = *device_ptr;
-      drive_days(spec, device, trace_seed);
-
-      const host::CompletionStats& stats = device.stats();
-      const host::ErrorStats es = device.error_stats();
-      const std::uint64_t ladder_reads =
-          es.reads_ok + es.reads_corrected + es.reads_retry_recovered +
-          es.reads_rdr_recovered + es.reads_uncorrectable;
-      const double recovered_share =
-          ladder_reads == 0
-              ? 0.0
-              : static_cast<double>(es.reads_retry_recovered +
-                                    es.reads_rdr_recovered) /
-                    static_cast<double>(ladder_reads);
-
-      CaseResult r;
-      using host::Status;
-      r.row = strf(
-          "%s,%llu,%llu,%llu,%llu,%llu,%.4f,%.3e,%llu,%llu,%.3f,%.3f",
-          fc.label,
-          static_cast<unsigned long long>(ladder_reads),
-          static_cast<unsigned long long>(stats.commands(Status::kOk)),
-          static_cast<unsigned long long>(
-              stats.commands(Status::kCorrected)),
-          static_cast<unsigned long long>(
-              stats.commands(Status::kRecovered)),
-          static_cast<unsigned long long>(
-              stats.commands(Status::kUncorrectable)),
-          recovered_share,
-          stats.uber(static_cast<double>(shard_geometry.bitlines)),
-          static_cast<unsigned long long>(es.retry_attempts),
-          static_cast<unsigned long long>(es.rdr_attempts),
-          es.retry_seconds, es.rdr_seconds);
-      for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
-        const host::ErrorStats se = device.shard_error_stats(s);
-        r.shard_rows.push_back(strf(
-            "%s,%u,%llu,%llu,%llu,%llu,%llu,%.3f,%.3f", fc.label, s,
-            static_cast<unsigned long long>(se.reads_ok),
-            static_cast<unsigned long long>(se.reads_corrected),
-            static_cast<unsigned long long>(se.reads_retry_recovered),
-            static_cast<unsigned long long>(se.reads_rdr_recovered),
-            static_cast<unsigned long long>(se.reads_uncorrectable),
-            se.retry_seconds, se.rdr_seconds));
-      }
-      results.push_back(std::move(r));
+      specs.push_back(spec);
     }
+
+    struct CaseResult {
+      std::string row;
+      std::vector<std::string> shard_rows;
+    };
+    const auto results = sweep_drives(
+        ctx, specs, drive_seed,
+        [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+          drive_days(spec, device, trace_seed);
+          const host::CompletionStats& stats = device.stats();
+          const host::ErrorStats es = device.error_stats();
+          const std::uint64_t ladder_reads =
+              es.reads_ok + es.reads_corrected + es.reads_retry_recovered +
+              es.reads_rdr_recovered + es.reads_uncorrectable;
+          const double recovered_share =
+              ladder_reads == 0
+                  ? 0.0
+                  : static_cast<double>(es.reads_retry_recovered +
+                                        es.reads_rdr_recovered) /
+                        static_cast<double>(ladder_reads);
+          const char* label = spec.name.c_str();
+          CaseResult r;
+          r.row = strf(
+              "%s,%llu,%s,%.4f,%.3e,%llu,%llu,%.3f,%.3f", label,
+              static_cast<unsigned long long>(ladder_reads),
+              status_columns(stats, host::Status::kOk,
+                             host::Status::kUncorrectable)
+                  .c_str(),
+              recovered_share,
+              stats.uber(static_cast<double>(shard_geometry.bitlines)),
+              static_cast<unsigned long long>(es.retry_attempts),
+              static_cast<unsigned long long>(es.rdr_attempts),
+              es.retry_seconds, es.rdr_seconds);
+          for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
+            const host::ErrorStats se = device.shard_error_stats(s);
+            r.shard_rows.push_back(strf(
+                "%s,%u,%llu,%llu,%llu,%llu,%llu,%.3f,%.3f", label, s,
+                static_cast<unsigned long long>(se.reads_ok),
+                static_cast<unsigned long long>(se.reads_corrected),
+                static_cast<unsigned long long>(se.reads_retry_recovered),
+                static_cast<unsigned long long>(se.reads_rdr_recovered),
+                static_cast<unsigned long long>(se.reads_uncorrectable),
+                se.retry_seconds, se.rdr_seconds));
+          }
+          return r;
+        });
 
     table.comment(
         "Section A: sharded MC drive (4 chips, pre-aged), latent-page and "
@@ -168,46 +162,45 @@ Table run_fig_reliability(ExperimentContext& ctx) {
     spec.workload.profile.read_fraction = 0.2;  // Write-heavy: exercise
                                                 // the P/E path.
 
-    const double fail_probs[] = {0.0, 1e-4, 1e-3, 1e-2};
-    std::vector<std::string> rows;
-    for (const double p : fail_probs) {
+    std::vector<cfg::ScenarioSpec> specs;
+    for (const double p : {0.0, 1e-4, 1e-3, 1e-2}) {
       spec.drive.faults.program_fail_prob = p;
       spec.drive.faults.erase_fail_prob = p;
-      const std::unique_ptr<host::Device> device_ptr =
-          build_drive(spec, drive_seed, workers);
-      host::Device& device = *device_ptr;
-      const ssd::Ssd& ssd =
-          static_cast<host::SsdServicer&>(device.shard_servicer(0)).ssd();
-
-      workload::TraceGenerator gen(spec.workload.profile,
-                                   device.logical_pages(), trace_seed,
-                                   device.queue_count());
-      host::ClosedLoopDriver driver(device, 4);
-      int read_only_day = -1;
-      for (int day = 0; day < max_days; ++day) {
-        driver.run(gen.day_commands());
-        device.end_of_day();
-        if (ssd.ftl().read_only()) {
-          read_only_day = day + 1;
-          break;  // Permanent freeze: further days only reject writes.
-        }
-      }
-
-      const ftl::FtlStats& fs = ssd.ftl().stats();
-      const host::CompletionStats& stats = device.stats();
-      using host::Status;
-      rows.push_back(strf(
-          "%g,%d,%llu,%llu,%llu,%u,%llu,%llu,%llu", p, read_only_day,
-          static_cast<unsigned long long>(fs.host_writes),
-          static_cast<unsigned long long>(fs.program_failures),
-          static_cast<unsigned long long>(fs.erase_failures),
-          ssd.ftl().retired_blocks(),
-          static_cast<unsigned long long>(fs.defect_writes),
-          static_cast<unsigned long long>(
-              stats.commands(Status::kFailedWrite)),
-          static_cast<unsigned long long>(
-              stats.commands(Status::kReadOnly))));
+      specs.push_back(spec);
     }
+    const auto rows = sweep_drives(
+        ctx, specs, drive_seed,
+        [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+          const ssd::Ssd& ssd =
+              static_cast<host::SsdServicer&>(device.shard_servicer(0))
+                  .ssd();
+          workload::TraceGenerator gen(spec.workload.profile,
+                                       device.logical_pages(), trace_seed,
+                                       device.queue_count());
+          host::ClosedLoopDriver driver(device, 4);
+          int read_only_day = -1;
+          for (int day = 0; day < max_days; ++day) {
+            driver.run(gen.day_commands());
+            device.end_of_day();
+            if (ssd.ftl().read_only()) {
+              read_only_day = day + 1;
+              break;  // Permanent freeze: further days only reject writes.
+            }
+          }
+
+          const ftl::FtlStats& fs = ssd.ftl().stats();
+          return strf(
+              "%g,%d,%llu,%llu,%llu,%u,%llu,%s",
+              spec.drive.faults.program_fail_prob, read_only_day,
+              static_cast<unsigned long long>(fs.host_writes),
+              static_cast<unsigned long long>(fs.program_failures),
+              static_cast<unsigned long long>(fs.erase_failures),
+              ssd.ftl().retired_blocks(),
+              static_cast<unsigned long long>(fs.defect_writes),
+              status_columns(device.stats(), host::Status::kFailedWrite,
+                             host::Status::kReadOnly)
+                  .c_str());
+        });
 
     table.new_section();
     table.comment(

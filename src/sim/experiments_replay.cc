@@ -9,47 +9,18 @@
 // replay::LatencyTracker. Golden-pinned: every number derives from
 // simulated clocks and counter-based RNG streams, so the table is
 // byte-identical at any worker count.
-#include <fstream>
-#include <iterator>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cfg/spec.h"
 #include "common/datafile.h"
 #include "replay/latency.h"
-#include "replay/replayer.h"
 #include "sim/experiments.h"
 
 namespace rdsim::sim {
 
-namespace {
-
-/// One (backend, mode) replay pass over the sample trace. The tracker
-/// must outlive the call (sections 2/3 read it after the loop).
-void replay_combo(host::Device& device, const std::string& trace_path,
-                  replay::ReplayMode mode, double speedup,
-                  replay::LatencyTracker* tracker) {
-  std::ifstream file(trace_path);
-  if (!file)
-    throw std::runtime_error("cannot open trace file '" + trace_path + "'");
-  replay::ReplayOptions opts;
-  opts.format = replay::TraceFormat::kMsr;
-  opts.remap = replay::RemapPolicy::kHash;
-  opts.mode = mode;
-  opts.queue_depth = 8;
-  opts.speedup = speedup;
-  opts.window = 64;  // Exercise the streaming path: 200 records, 4 chunks.
-  replay::replay_trace(file, device, opts, tracker);
-}
-
-}  // namespace
-
 Table run_fig_trace_replay(ExperimentContext& ctx) {
-  using host::CommandKind;
-  using host::Status;
   const std::string trace_path =
       find_test_data("msr_cambridge_sample.csv");
   if (trace_path.empty())
@@ -58,24 +29,69 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
         "RDSIM_DATA_DIR or run from the repo/build tree)");
 
   const bool full_scale = ctx.scale() >= 1.0;
-  // The sample spans ~116 s of light traffic; compressing 50x forces
-  // arrivals into the flash service times so open-loop queueing (and the
-  // moving-percentile windows) have something to show.
-  const double kSpeedup = 50.0;
   const double kWindowS = 0.5;
   const std::uint64_t drive_seed = 19 + (ctx.seed() - 42);
-  const int workers = ctx.pool().thread_count();
 
-  struct Combo {
-    const char* backend;
-    replay::ReplayMode mode;
+  // One spec per (backend, mode) combo. An analytic drive is
+  // warm-filled; the MC chips are pre-aged.
+  std::vector<cfg::ScenarioSpec> specs;
+  for (const bool mc : {false, true}) {
+    for (const replay::ReplayMode mode :
+         {replay::ReplayMode::kOpen, replay::ReplayMode::kClosed}) {
+      cfg::ScenarioSpec spec;
+      if (!mc) {
+        spec.drive.blocks = full_scale ? 512 : 64;
+        spec.drive.pages_per_block = full_scale ? 128 : 32;
+        spec.drive.overprovision = 0.2;
+        spec.drive.gc_free_target = 4;
+      } else {
+        nand::Geometry shard_geometry = ctx.geometry();
+        shard_geometry.blocks = full_scale ? 4 : 2;
+        spec.drive = mc_drive(shard_geometry, 4, 8000);
+      }
+      spec.trace.path = trace_path;
+      spec.trace.format = replay::TraceFormat::kMsr;
+      spec.trace.remap = replay::RemapPolicy::kHash;
+      spec.trace.mode = mode;
+      spec.trace.queue_depth = 8;
+      // The sample spans ~116 s of light traffic; compressing 50x forces
+      // arrivals into the flash service times so open-loop queueing (and
+      // the moving-percentile windows) have something to show.
+      spec.trace.speedup = 50.0;
+      specs.push_back(spec);
+    }
+  }
+
+  struct ComboResult {
+    std::string row;
+    replay::LatencyTracker tracker;
   };
-  const Combo combos[] = {
-      {"analytic", replay::ReplayMode::kOpen},
-      {"analytic", replay::ReplayMode::kClosed},
-      {"sharded_mc", replay::ReplayMode::kOpen},
-      {"sharded_mc", replay::ReplayMode::kClosed},
-  };
+  const std::vector<ComboResult> results = sweep_drives(
+      ctx, specs, drive_seed,
+      [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+        ComboResult r{{}, replay::LatencyTracker(kWindowS, 1e5, 20000)};
+        // A 64-record window exercises the streaming path: 200 records,
+        // 4 chunks. Warm fill resets the statistics and MC drives start
+        // empty, so they cover exactly the replay.
+        replay_spec_trace(spec.trace, device, &r.tracker, 64);
+        const host::CompletionStats& stats = device.stats();
+        r.row = strf(
+            "%s,%s,%llu,%llu,%llu,%s,%.1f,%.1f,%.1f,%.6f",
+            cfg::backend_name(spec.drive.backend),
+            std::string(name(spec.trace.mode)).c_str(),
+            static_cast<unsigned long long>(stats.commands()),
+            static_cast<unsigned long long>(
+                stats.commands(host::CommandKind::kRead)),
+            static_cast<unsigned long long>(
+                stats.commands(host::CommandKind::kWrite)),
+            status_columns(stats, host::Status::kOk,
+                           host::Status::kUncorrectable)
+                .c_str(),
+            r.tracker.read_quantile_us(0.50),
+            r.tracker.read_quantile_us(0.99),
+            r.tracker.read_quantile_us(0.999), stats.stall_seconds());
+        return r;
+      });
 
   Table table;
   table.comment(
@@ -85,62 +101,17 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
   table.row(
       "backend,mode,commands,reads,writes,ok,corrected,recovered,"
       "uncorrectable,read_p50_us,read_p99_us,read_p999_us,stall_s");
+  for (const ComboResult& r : results) table.row(r.row);
 
-  // Trackers live here so the sharded-MC open-loop one feeds sections
-  // 2/3 after the summary loop. The drives run serially: the sharded
-  // backend owns the worker pool for its shards, same as fig_qos_mc.
-  std::vector<replay::LatencyTracker> trackers;
-  trackers.reserve(std::size(combos));
-  const replay::LatencyTracker* detail = nullptr;
-
-  for (const Combo& combo : combos) {
-    // An analytic drive is warm-filled; the MC chips are pre-aged.
-    cfg::ScenarioSpec spec;
-    if (std::string_view(combo.backend) == "analytic") {
-      spec.drive.blocks = full_scale ? 512 : 64;
-      spec.drive.pages_per_block = full_scale ? 128 : 32;
-      spec.drive.overprovision = 0.2;
-      spec.drive.gc_free_target = 4;
-    } else {
-      nand::Geometry shard_geometry = ctx.geometry();
-      shard_geometry.blocks = full_scale ? 4 : 2;
-      spec.drive = mc_drive(shard_geometry, 4, 8000);
-    }
-    const std::unique_ptr<host::Device> device =
-        build_drive(spec, drive_seed, workers);
-
-    trackers.emplace_back(kWindowS, 1e5, 20000);
-    replay::LatencyTracker& tracker = trackers.back();
-    replay_combo(*device, trace_path, combo.mode, kSpeedup, &tracker);
-    // Warm fill resets the statistics and MC drives start empty, so
-    // they cover exactly the replay.
-    const host::CompletionStats& stats = device->stats();
-    if (spec.drive.backend == cfg::Backend::kShardedMc &&
-        combo.mode == replay::ReplayMode::kOpen)
-      detail = &tracker;
-
-    table.row(strf(
-        "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.1f,%.1f,%.1f,%.6f",
-        combo.backend, std::string(name(combo.mode)).c_str(),
-        static_cast<unsigned long long>(stats.commands()),
-        static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
-        static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
-        static_cast<unsigned long long>(stats.commands(Status::kOk)),
-        static_cast<unsigned long long>(stats.commands(Status::kCorrected)),
-        static_cast<unsigned long long>(stats.commands(Status::kRecovered)),
-        static_cast<unsigned long long>(
-            stats.commands(Status::kUncorrectable)),
-        tracker.read_quantile_us(0.50), tracker.read_quantile_us(0.99),
-        tracker.read_quantile_us(0.999), stats.stall_seconds()));
-  }
-
+  // Sections 2/3 drill into the sharded-MC open-loop combo.
+  const replay::LatencyTracker& detail = results[2].tracker;
   table.new_section();
   table.comment(
       "Read-latency CDF, sharded_mc open-loop (one point per non-empty "
       "5us bin; Histogram::cdf_points upper-edge convention)");
   table.row("latency_us,cum_fraction");
   for (const auto& p :
-       detail->histogram(host::CommandKind::kRead).cdf_points())
+       detail.histogram(host::CommandKind::kRead).cdf_points())
     table.row(strf("%.1f,%.6f", p.value, p.fraction));
 
   table.new_section();
@@ -149,7 +120,7 @@ Table run_fig_trace_replay(ExperimentContext& ctx) {
       "simulated time from replay start)",
       kWindowS * 1e3));
   table.row("window_start_s,reads,p50_us,p99_us,p999_us");
-  for (const replay::WindowRow& w : detail->window_rows())
+  for (const replay::WindowRow& w : detail.window_rows())
     table.row(strf("%.3f,%llu,%.1f,%.1f,%.1f", w.window_start_s,
                    static_cast<unsigned long long>(w.reads), w.p50_us,
                    w.p99_us, w.p999_us));

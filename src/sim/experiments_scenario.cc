@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -101,6 +102,35 @@ std::string qos_columns(const host::CompletionStats& stats) {
               stall_pct);
 }
 
+void replay_spec_trace(const cfg::TraceSpec& trace, host::Device& device,
+                       replay::LatencyTracker* tracker, std::size_t window) {
+  std::ifstream file(trace.path);
+  if (!file)
+    throw std::runtime_error("cannot open trace file '" + trace.path + "'");
+  replay::ReplayOptions opts;
+  opts.format = trace.format;
+  opts.remap = trace.remap;
+  opts.mode = trace.mode;
+  opts.queue_depth = trace.queue_depth;
+  opts.speedup = trace.speedup;
+  opts.page_bytes = trace.page_bytes;
+  opts.window = window;
+  replay::replay_trace(file, device, opts, tracker);
+}
+
+std::string status_columns(const host::CompletionStats& stats,
+                           host::Status first, host::Status last,
+                           std::optional<std::uint32_t> tenant) {
+  std::string out;
+  for (auto s = static_cast<int>(first); s <= static_cast<int>(last); ++s) {
+    const auto status = static_cast<host::Status>(s);
+    if (!out.empty()) out += ',';
+    out += std::to_string(tenant ? stats.tenant_commands(*tenant, status)
+                                 : stats.commands(status));
+  }
+  return out;
+}
+
 cfg::DriveSpec mc_drive(const nand::Geometry& geometry, std::uint32_t shards,
                         std::uint64_t pre_wear_pe) {
   cfg::DriveSpec drive;
@@ -185,19 +215,7 @@ Table run_scenario(ExperimentContext& ctx) {
       build_drive(spec, drive_seed, ctx.pool().thread_count());
 
   if (spec.trace.enabled()) {
-    // Real-trace replay through src/replay instead of the generator.
-    std::ifstream file(spec.trace.path);
-    if (!file)
-      throw std::runtime_error("cannot open trace file '" + spec.trace.path +
-                               "'");
-    replay::ReplayOptions opts;
-    opts.format = spec.trace.format;
-    opts.remap = spec.trace.remap;
-    opts.mode = spec.trace.mode;
-    opts.queue_depth = spec.trace.queue_depth;
-    opts.speedup = spec.trace.speedup;
-    opts.page_bytes = spec.trace.page_bytes;
-    replay::replay_trace(file, *device, opts, nullptr);
+    replay_spec_trace(spec.trace, *device, nullptr);
     device->end_of_day();
   } else {
     drive_days(spec, *device, trace_seed);
@@ -258,8 +276,7 @@ Table run_scenario(ExperimentContext& ctx) {
     for (std::uint32_t t = 0; t < spec.tenants.count(); ++t) {
       const cfg::TenantSpec& tenant = spec.tenants.tenants[t];
       table.row(strf(
-          "%u,%s,%.3g,%.3g,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.6g,"
-          "%llu,%llu,%llu,%llu,%llu,%llu,%.3g",
+          "%u,%s,%.3g,%.3g,%llu,%llu,%.0f,%.1f,%.1f,%.1f,%.1f,%.6g,%s,%.3g",
           t, tenant.profile.name.c_str(), tenant.weight, tenant.deadline_us,
           static_cast<unsigned long long>(stats.tenant_commands(t)),
           static_cast<unsigned long long>(
@@ -269,18 +286,8 @@ Table run_scenario(ExperimentContext& ctx) {
           us(stats.tenant_read_latency_quantile_s(t, 0.99)),
           us(stats.tenant_read_latency_quantile_s(t, 0.999)),
           stats.tenant_stall_seconds(t),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kOk)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kCorrected)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kRecovered)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kUncorrectable)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kFailedWrite)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(t, host::Status::kReadOnly)),
+          status_columns(stats, host::Status::kOk, host::Status::kReadOnly, t)
+              .c_str(),
           stats.tenant_uber(t,
                             static_cast<double>(spec.drive.bitlines))));
     }
@@ -295,21 +302,12 @@ Table run_scenario(ExperimentContext& ctx) {
         "trace_commands,reads,writes,ok,corrected,recovered,uncorrectable,"
         "failed_write,read_only,span_s");
     table.row(strf(
-        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.6f",
+        "%llu,%llu,%llu,%s,%.6f",
         static_cast<unsigned long long>(stats.commands()),
         static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
         static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
-        static_cast<unsigned long long>(stats.commands(host::Status::kOk)),
-        static_cast<unsigned long long>(
-            stats.commands(host::Status::kCorrected)),
-        static_cast<unsigned long long>(
-            stats.commands(host::Status::kRecovered)),
-        static_cast<unsigned long long>(
-            stats.commands(host::Status::kUncorrectable)),
-        static_cast<unsigned long long>(
-            stats.commands(host::Status::kFailedWrite)),
-        static_cast<unsigned long long>(
-            stats.commands(host::Status::kReadOnly)),
+        status_columns(stats, host::Status::kOk, host::Status::kReadOnly)
+            .c_str(),
         stats.span_s()));
   }
 

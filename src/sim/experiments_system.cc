@@ -47,9 +47,8 @@ Table run_fig08(ExperimentContext& ctx) {
   // continuously rather than switching derivation schemes.
   const std::uint64_t drive_seed = 7 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 1234 + (ctx.seed() - 42);
-  const auto results = ctx.map_seeded<WorkloadResult>(
-      profiles.size(), [&](std::size_t i, Rng&) {
-        workload::WorkloadProfile profile = profiles[i];
+  const auto results = ctx.sweep(
+      profiles, [&](workload::WorkloadProfile profile, Rng&) {
         profile.daily_page_ios =
             std::max(2000.0, profile.daily_page_ios * io_scale);
         ssd::SsdConfig config;
@@ -129,6 +128,9 @@ Table run_fig_qos(ExperimentContext& ctx) {
       50, static_cast<std::uint64_t>(0.025 * profile.read_fraction *
                                      profile.daily_page_ios));
 
+  // Closed-loop replay over a warm-filled drive per (policy, depth):
+  // keep `depth` commands outstanding; the next command is submitted the
+  // instant a completion frees a slot.
   struct Policy {
     const char* name;
     bool tuning;
@@ -139,42 +141,37 @@ Table run_fig_qos(ExperimentContext& ctx) {
       {"reclaim", false, reclaim_threshold},
       {"tuning", true, 0},
   };
-  const int depths[] = {1, 4, 16};
-  constexpr int kDepths = 3;
-  const std::size_t combos = std::size(policies) * kDepths;
+  std::vector<cfg::ScenarioSpec> specs;
+  for (const Policy& policy : policies) {
+    for (const std::uint32_t depth : {1u, 4u, 16u}) {
+      cfg::ScenarioSpec spec;
+      spec.name = policy.name;
+      spec.days = days;
+      spec.queue_depth = depth;
+      spec.drive.blocks = full_scale ? 512 : 64;
+      spec.drive.pages_per_block = full_scale ? 128 : 32;
+      spec.drive.overprovision = 0.2;
+      spec.drive.gc_free_target = 4;
+      spec.drive.vpass_tuning = policy.tuning;
+      spec.drive.read_reclaim_threshold = policy.reclaim;
+      spec.workload.profile = profile;
+      specs.push_back(spec);
+    }
+  }
 
   // One drive seed and one trace seed shared by every combo (same scheme
   // as fig08), so rows differ only by policy and depth.
   const std::uint64_t drive_seed = 11 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 4321 + (ctx.seed() - 42);
-
-  const auto rows = ctx.map_seeded<std::string>(
-      combos, [&](std::size_t combo, Rng&) {
-        const Policy& policy = policies[combo / kDepths];
-        const int depth = depths[combo % kDepths];
-
-        // Closed-loop replay over a warm-filled drive: keep `depth`
-        // commands outstanding; the next command is submitted the
-        // instant a completion frees a slot.
-        cfg::ScenarioSpec spec;
-        spec.days = days;
-        spec.queue_depth = static_cast<std::uint32_t>(depth);
-        spec.drive.blocks = full_scale ? 512 : 64;
-        spec.drive.pages_per_block = full_scale ? 128 : 32;
-        spec.drive.overprovision = 0.2;
-        spec.drive.gc_free_target = 4;
-        spec.drive.vpass_tuning = policy.tuning;
-        spec.drive.read_reclaim_threshold = policy.reclaim;
-        spec.workload.profile = profile;
-        // One worker: the combos already fan out over the pool.
-        const std::unique_ptr<host::Device> device =
-            build_drive(spec, drive_seed, /*workers=*/1);
-        drive_days(spec, *device, trace_seed);
-
-        const host::CompletionStats& stats = device->stats();
+  const auto rows = sweep_drives(
+      ctx, specs, drive_seed,
+      [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+        drive_days(spec, device, trace_seed);
+        const host::CompletionStats& stats = device.stats();
         using host::CommandKind;
         return strf(
-            "%s,%d,%llu,%llu,%llu,%llu,%s", policy.name, depth,
+            "%s,%u,%llu,%llu,%llu,%llu,%s", spec.name.c_str(),
+            spec.queue_depth,
             static_cast<unsigned long long>(
                 stats.commands(CommandKind::kRead)),
             static_cast<unsigned long long>(
@@ -205,9 +202,8 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   // RBER, FTL maintenance), every read here senses real cells, so the
   // table reports the raw bit error rate the host observed alongside the
   // latency percentiles — the read-disturb QoS view at drive scale. The
-  // device services its shards on its own worker pool sized from the
-  // experiment's --threads; the merged completion log (and therefore
-  // this table) is byte-identical for any worker count.
+  // merged completion log (and therefore this table) is byte-identical
+  // for any worker count.
   const bool full_scale = ctx.scale() >= 1.0;
   nand::Geometry shard_geometry = ctx.geometry();
   shard_geometry.blocks = full_scale ? 8 : 2;
@@ -217,7 +213,6 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   // move continuously.
   const std::uint64_t drive_seed = 13 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 2468 + (ctx.seed() - 42);
-  const int workers = ctx.pool().thread_count();
 
   // Every shard is pre-aged like a characterization drive: the factory
   // applies heavy P/E wear then fresh random data per block
@@ -227,49 +222,51 @@ Table run_fig_qos_mc(ExperimentContext& ctx) {
   spec.drive = mc_drive(shard_geometry, 4, 8000);
   spec.workload.profile = workload::profile_by_name("fiu-web-vm");
   spec.workload.profile.daily_page_ios = ctx.scaled(12000.0, 3000.0);
+  std::vector<cfg::ScenarioSpec> specs;
+  for (const std::uint32_t depth : {1u, 4u, 16u}) {
+    spec.queue_depth = depth;
+    specs.push_back(spec);
+  }
 
   struct DepthResult {
     std::string row;
     std::vector<std::string> shard_rows;
   };
-  const int depths[] = {1, 4, 16};
-  std::vector<DepthResult> results;
-  for (const int depth : depths) {
-    spec.queue_depth = static_cast<std::uint32_t>(depth);
-    const std::unique_ptr<host::Device> device_ptr =
-        build_drive(spec, drive_seed, workers);
-    host::Device& device = *device_ptr;
-    drive_days(spec, device, trace_seed);
-
-    const host::CompletionStats& stats = device.stats();
-    using host::CommandKind;
-    const double sensed_bits =
-        static_cast<double>(device.pages_read()) *
-        static_cast<double>(shard_geometry.bitlines);
-    const double rber =
-        sensed_bits <= 0.0
-            ? 0.0
-            : static_cast<double>(device.read_bit_errors()) / sensed_bits;
-
-    DepthResult r;
-    r.row = strf(
-        "%d,%llu,%llu,%s,%.3e,%llu", depth,
-        static_cast<unsigned long long>(stats.commands(CommandKind::kRead)),
-        static_cast<unsigned long long>(stats.commands(CommandKind::kWrite)),
-        qos_columns(stats).c_str(), rber,
-        static_cast<unsigned long long>(device.block_rewrites()));
-    // Per-shard attribution at this depth: where the reads landed, the
-    // errors they saw, and the stall seconds booked to each chip.
-    for (std::uint32_t s = 0; s < device.shard_count(); ++s) {
-      r.shard_rows.push_back(
-          strf("%d,%u,%llu,%llu,%.6g", depth, s,
-               static_cast<unsigned long long>(device.shard_pages_read(s)),
-               static_cast<unsigned long long>(
-                   device.shard_read_bit_errors(s)),
-               device.shard_stall_seconds(s)));
-    }
-    results.push_back(std::move(r));
-  }
+  const auto results = sweep_drives(
+      ctx, specs, drive_seed,
+      [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+        drive_days(spec, device, trace_seed);
+        const host::CompletionStats& stats = device.stats();
+        using host::CommandKind;
+        const double sensed_bits =
+            static_cast<double>(device.pages_read()) *
+            static_cast<double>(shard_geometry.bitlines);
+        const double rber =
+            sensed_bits <= 0.0 ? 0.0
+                               : static_cast<double>(
+                                     device.read_bit_errors()) /
+                                     sensed_bits;
+        const std::uint32_t depth = spec.queue_depth;
+        DepthResult r;
+        r.row = strf(
+            "%u,%llu,%llu,%s,%.3e,%llu", depth,
+            static_cast<unsigned long long>(
+                stats.commands(CommandKind::kRead)),
+            static_cast<unsigned long long>(
+                stats.commands(CommandKind::kWrite)),
+            qos_columns(stats).c_str(), rber,
+            static_cast<unsigned long long>(device.block_rewrites()));
+        // Per-shard attribution at this depth: where the reads landed,
+        // the errors they saw, and the stall seconds booked to each chip.
+        for (std::uint32_t s = 0; s < device.shard_count(); ++s)
+          r.shard_rows.push_back(strf(
+              "%u,%u,%llu,%llu,%.6g", depth, s,
+              static_cast<unsigned long long>(device.shard_pages_read(s)),
+              static_cast<unsigned long long>(
+                  device.shard_read_bit_errors(s)),
+              device.shard_stall_seconds(s)));
+        return r;
+      });
 
   Table table;
   table.comment(
@@ -307,9 +304,9 @@ Table run_fig11(ExperimentContext& ctx) {
   auto modules = dram::sample_population(population_rng, 129);
   for (auto& m : modules) scale_module(m, ctx.scale());
 
-  const auto rates = ctx.map_seeded<double>(
-      modules.size(), [&](std::size_t i, Rng& rng) {
-        return dram::errors_per_billion_cells(modules[i], rng);
+  const auto rates =
+      ctx.sweep(modules, [](const dram::DramModule& m, Rng& rng) {
+        return dram::errors_per_billion_cells(m, rng);
       });
 
   Table table;
@@ -344,9 +341,9 @@ Table run_fig12(ExperimentContext& ctx) {
   for (auto& m : modules) scale_module(m, ctx.scale());
   const int max_victims = 120;
 
-  const auto hists = ctx.map_seeded<std::vector<std::uint64_t>>(
-      modules.size(), [&](std::size_t i, Rng& rng) {
-        return dram::victim_histogram(modules[i], rng, max_victims);
+  const auto hists =
+      ctx.sweep(modules, [&](const dram::DramModule& m, Rng& rng) {
+        return dram::victim_histogram(m, rng, max_victims);
       });
 
   Table table;

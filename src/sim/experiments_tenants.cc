@@ -23,7 +23,6 @@
 // serviced as one set), so the completion log — and this table — is a
 // pure function of (seed, scale): byte-identical at any --threads
 // (tests/test_arbitration.cc, tests/test_golden_experiments.cc).
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,17 +60,49 @@ Table run_fig_qos_tenants(ExperimentContext& ctx) {
   spec.drive.gc_free_target = 4;
   spec.tenants.tenants = {victim, aggressor};
 
+  std::vector<cfg::ScenarioSpec> specs;
+  for (const host::ArbitrationPolicy policy :
+       {host::ArbitrationPolicy::kFifo, host::ArbitrationPolicy::kRoundRobin,
+        host::ArbitrationPolicy::kWeighted,
+        host::ArbitrationPolicy::kDeadline}) {
+    for (const std::uint32_t window : {8u, 32u}) {
+      spec.tenants.policy = policy;
+      spec.queue_depth = window;
+      specs.push_back(spec);
+    }
+  }
+
   // Same derivation scheme as fig08/fig_qos: one drive seed and one
   // trace seed shared by every combo, offset so seeds near the default
   // move continuously.
   const std::uint64_t drive_seed = 19 + (ctx.seed() - 42);
   const std::uint64_t trace_seed = 8642 + (ctx.seed() - 42);
-  const int workers = ctx.pool().thread_count();
-
-  const host::ArbitrationPolicy policies[] = {
-      host::ArbitrationPolicy::kFifo, host::ArbitrationPolicy::kRoundRobin,
-      host::ArbitrationPolicy::kWeighted, host::ArbitrationPolicy::kDeadline};
-  const int windows[] = {8, 32};
+  const auto rows = sweep_drives(
+      ctx, specs, drive_seed,
+      [&](const cfg::ScenarioSpec& spec, host::Device& device) {
+        drive_days(spec, device, trace_seed);
+        const host::CompletionStats& stats = device.stats();
+        const auto us = [](double seconds) { return seconds * 1e6; };
+        const auto bits = static_cast<double>(spec.drive.bitlines);
+        return strf(
+            "%s,%u,%llu,%.1f,%.1f,%.1f,%.6g,%s,%.3g,%llu,%.1f,%.3g,%.0f",
+            host::arbitration_policy_name(spec.tenants.policy),
+            spec.queue_depth,
+            static_cast<unsigned long long>(
+                stats.tenant_commands(0, host::CommandKind::kRead)),
+            us(stats.tenant_read_latency_quantile_s(0, 0.50)),
+            us(stats.tenant_read_latency_quantile_s(0, 0.99)),
+            us(stats.tenant_read_latency_quantile_s(0, 0.999)),
+            stats.tenant_stall_seconds(0),
+            status_columns(stats, host::Status::kCorrected,
+                           host::Status::kUncorrectable, 0)
+                .c_str(),
+            stats.tenant_uber(0, bits),
+            static_cast<unsigned long long>(
+                stats.tenant_commands(1, host::CommandKind::kRead)),
+            us(stats.tenant_read_latency_quantile_s(1, 0.999)),
+            stats.tenant_uber(1, bits), stats.iops());
+      });
 
   Table table;
   table.comment(
@@ -84,43 +115,7 @@ Table run_fig_qos_tenants(ExperimentContext& ctx) {
       "victim_p999_us,victim_stall_s,victim_corrected,victim_recovered,"
       "victim_uncorrectable,victim_uber,aggr_reads,aggr_p999_us,"
       "aggr_uber,iops");
-
-  for (const host::ArbitrationPolicy policy : policies) {
-    for (const int window : windows) {
-      spec.tenants.policy = policy;
-      spec.queue_depth = static_cast<std::uint32_t>(window);
-      const std::unique_ptr<host::Device> device =
-          build_drive(spec, drive_seed, workers);
-      drive_days(spec, *device, trace_seed);
-
-      const host::CompletionStats& stats = device->stats();
-      const auto us = [](double seconds) { return seconds * 1e6; };
-      const auto bits = static_cast<double>(spec.drive.bitlines);
-      using host::CommandKind;
-      using host::Status;
-      table.row(strf(
-          "%s,%d,%llu,%.1f,%.1f,%.1f,%.6g,%llu,%llu,%llu,%.3g,%llu,%.1f,"
-          "%.3g,%.0f",
-          host::arbitration_policy_name(policy), window,
-          static_cast<unsigned long long>(
-              stats.tenant_commands(0, CommandKind::kRead)),
-          us(stats.tenant_read_latency_quantile_s(0, 0.50)),
-          us(stats.tenant_read_latency_quantile_s(0, 0.99)),
-          us(stats.tenant_read_latency_quantile_s(0, 0.999)),
-          stats.tenant_stall_seconds(0),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(0, Status::kCorrected)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(0, Status::kRecovered)),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(0, Status::kUncorrectable)),
-          stats.tenant_uber(0, bits),
-          static_cast<unsigned long long>(
-              stats.tenant_commands(1, CommandKind::kRead)),
-          us(stats.tenant_read_latency_quantile_s(1, 0.999)),
-          stats.tenant_uber(1, bits), stats.iops()));
-    }
-  }
+  for (const auto& row : rows) table.row(row);
   return table;
 }
 

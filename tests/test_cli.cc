@@ -38,6 +38,8 @@ TEST(Cli, NumbersParse) {
   EXPECT_TRUE(options.scale_set);
   EXPECT_EQ(options.config.fleet_checkpoint_every, 2u);
   EXPECT_EQ(options.config.fleet_stop_after, 1u);
+  // Parsing only: no pool of this width is built.
+  EXPECT_EQ(parse({"--threads", "1024"}).config.threads, 1024);
 }
 
 TEST(Cli, BadNumbersNameTheFlag) {
@@ -56,6 +58,7 @@ TEST(Cli, BadNumbersNameTheFlag) {
       {"--threads", "0"},
       {"--threads", "3x"},
       {"--threads", "-2"},
+      {"--threads", "1025"},
       {"--threads", "2147483648"},
       {"--scale", "inf"},
       {"--scale", "nan"},

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +80,29 @@ TEST(ThreadPool, PropagatesExceptions) {
     return static_cast<int>(i);
   });
   EXPECT_EQ(out.back(), 7);
+}
+
+// ExperimentContext::sweep's stream contract: point i draws from
+// Rng::stream(seed, base + i), the next next_stream() continues at
+// base + n, and results come back in point order at any pool width.
+TEST(Sweep, NumbersStreamsByPointAndKeepsPointOrder) {
+  const std::vector<int> points = {30, 10, 50, 20, 40, 60, 0};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    ExperimentContext ctx(tiny_config(threads, 7), pool);
+    ctx.next_stream();  // The sweep's base is now 1.
+    const auto out = ctx.sweep(points, [](int point, Rng& rng) {
+      return std::make_pair(point, rng.next());
+    });
+    ASSERT_EQ(out.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(out[i].first, points[i]);
+      EXPECT_EQ(out[i].second, Rng::stream(7, 1 + i).next()) << i;
+    }
+    EXPECT_EQ(ctx.next_stream().next(),
+              Rng::stream(7, 1 + points.size()).next());
+  }
 }
 
 TEST(Table, WritesCommentsRowsAndSectionBreaks) {
